@@ -15,7 +15,7 @@ from .indices import (abs_union_max, coincidence_addition, coincidence_real,
                       inner_product, interiority_real, jaccard_addition,
                       jaccard_real, multiset_jaccard, s_minus, s_plus, s_pm,
                       set_jaccard, signed_min_intersection)
-from .kernels import ACTIVE_BACKEND, HAS_NUMBA
+from .kernels import ACTIVE_BACKEND
 from .metrics import (INDEX_NAMES, PerformanceIndices, compute_indices,
                       overlap_integral)
 from .pca import (AnalysisError, FeatureMatrix, PcaModel,
@@ -34,7 +34,7 @@ __all__ = [
     "ACTIVE_BACKEND", "AlignmentError", "AnalysisError", "Aggregate",
     "BOUNDARIES", "CorrelationResult", "DEFAULT_GRID", "DEFAULT_METHODS",
     "DEFAULT_TEMPLATE_AMPLITUDE", "DEFAULT_TEMPLATE_WIDTH", "DomainError",
-    "FeatureMatrix", "HAS_NUMBA", "INDEX_NAMES", "Method", "Multiset",
+    "FeatureMatrix", "INDEX_NAMES", "Method", "Multiset",
     "N_NOISE_LEVELS", "NoiseSpec", "ObjectSpec", "PcaModel",
     "PeakMeasurement", "PerformanceIndices", "Signal", "SimilarityConfig",
     "SweepConfig", "SweepRecord", "SweepResult", "TemplateSpec",

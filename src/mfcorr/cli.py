@@ -15,7 +15,7 @@ from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
                          TemplateSpec, add_noise, gen_object, gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
-from .sweep import (DEFAULT_METHODS, SweepConfig, canonical_method,
+from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, canonical_method,
                     method_profile, run_sweep, write_aggregates_csv,
                     write_records_csv)
 
@@ -159,7 +159,7 @@ def _is_float(token: str) -> bool:
 def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> None:
     lines = [comment, "lag,value"]
     for lag, value in zip(result.lags, result.values):
-        lines.append(f"{format(float(lag), '.9g')},{format(float(value), '.9g')}")
+        lines.append(f"{_fmt(float(lag))},{_fmt(float(value))}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -196,7 +196,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         comment = (f"# method={name} boundary={args.boundary}"
                    f" noise_level={args.noise_level} seed={args.seed}"
                    f" realization={args.realization}"
-                   f" noise_multiplier={format(args.noise_multiplier, '.9g')}"
+                   f" noise_multiplier={_fmt(args.noise_multiplier)}"
                    f" normalize={int(bool(args.normalize))}")
         path = out_dir / f"correlate_{name}.csv"
         _write_profile_csv(profile, path, comment)

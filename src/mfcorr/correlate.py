@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .indices import profile_values
 from .signal import (
-    DEFAULT_CONFIG,
     AlignmentError,
     DomainError,
     Signal,
@@ -98,52 +98,6 @@ def _lag_geometry(n: int, m: int, boundary: str) -> tuple[int, int, float]:
     raise DomainError(f"unknown boundary policy {boundary!r}; expected one of {BOUNDARIES}")
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray, eps: float, signed_den: bool = False) -> np.ndarray:
-    ok = (np.abs(den) if signed_den else den) >= eps
-    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-
-
-def _profile_values(tag: str, cfg: SimilarityConfig, sums: np.ndarray,
-                    abs_total: float, sum_total: float, dx: float) -> np.ndarray:
-    if tag == "classic":
-        return dx * sums[:, kernels.DOT]
-
-    eps = cfg.eps_denom
-    sm = dx * sums[:, kernels.SM]
-
-    if tag in ("jaccard_real", "coincidence"):
-        union = dx * (sums[:, kernels.MX] + (abs_total - sums[:, kernels.AFW]))
-        jac = _guarded_ratio(sm, union, eps)
-        if tag == "jaccard_real":
-            return jac
-        return jac * _interiority_values(cfg, sums, abs_total, dx)
-
-    if tag == "interiority":
-        return _interiority_values(cfg, sums, abs_total, dx)
-
-    if tag in ("jaccard_addition", "coincidence_addition"):
-        if cfg.addition_abs_denominator:
-            den = dx * (abs_total + sums[:, kernels.AGW])
-        else:
-            den = dx * (sum_total + sums[:, kernels.SGW])
-        jac = _guarded_ratio(2.0 * sm, den, eps, signed_den=True)
-        if tag == "jaccard_addition":
-            return jac
-        return jac * _interiority_values(cfg, sums, abs_total, dx)
-
-    raise DomainError(f"unknown method tag {tag!r}")
-
-
-def _interiority_values(cfg: SimilarityConfig, sums: np.ndarray,
-                        abs_total: float, dx: float) -> np.ndarray:
-    den = dx * np.minimum(abs_total, sums[:, kernels.AGW])
-    if cfg.interiority_signed_numerator:
-        num = dx * sums[:, kernels.SM]
-        return np.clip(_guarded_ratio(num, den, cfg.eps_denom), -1.0, 1.0)
-    num = dx * sums[:, kernels.UM]
-    return np.clip(_guarded_ratio(num, den, cfg.eps_denom), 0.0, 1.0)
-
-
 def correlate(obj: Signal, template: Signal, method: Method,
               boundary: str = "pad") -> CorrelationResult:
     """Evaluate one similarity method at every relative displacement.
@@ -157,7 +111,7 @@ def correlate(obj: Signal, template: Signal, method: Method,
     n, m = len(obj), len(template)
     k0, n_lags, center = _lag_geometry(n, m, boundary)
     sums, abs_total, sum_total = kernels.sliding_sums(obj.samples, template.samples, k0, n_lags)
-    values = _profile_values(method.tag, method.cfg, sums, abs_total, sum_total, obj.dx)
+    values = profile_values(method.tag, method.cfg, sums, abs_total, sum_total, obj.dx)
     lags = obj.x0 + (k0 + np.arange(n_lags) + center) * obj.dx
     return CorrelationResult(lags, values, method, boundary)
 

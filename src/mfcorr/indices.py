@@ -1,6 +1,8 @@
-"""Similarity functionals over aligned signals and discrete multisets.
+"""Similarity indices: one formula per index, and whole-signal functionals.
 
 All integrals are Riemann sums on the shared grid: integral(h) ~ dx * sum(h(x_i)).
+profile_values holds the real-valued index formulas, one value per lag from
+the kernel's window sums; a whole-signal functional is its full-overlap lag.
 Every functional is symmetric in its two arguments and pure.
 """
 
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .signal import (
     DEFAULT_CONFIG,
     DomainError,
@@ -48,15 +51,12 @@ def multiset_jaccard(a: Multiset, b: Multiset) -> float:
     return float(np.sum(np.minimum(a.multiplicities, b.multiplicities))) / union
 
 
-def _signed_min_terms(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    # sign(f)*sign(g)*min(|f|, |g|); samples where either value is 0 contribute 0
-    return np.sign(fs) * np.sign(gs) * np.minimum(np.abs(fs), np.abs(gs))
-
-
 def signed_min_intersection(f: Signal, g: Signal) -> float:
     """Sign-aware pointwise-minimum overlap integral of two signals."""
     require_aligned(f, g)
-    return f.dx * float(np.sum(_signed_min_terms(f.samples, g.samples)))
+    # sign(f)*sign(g)*min(|f|, |g|); samples where either value is 0 contribute 0
+    fs, gs = f.samples, g.samples
+    return f.dx * float(np.sum(np.sign(fs) * np.sign(gs) * np.minimum(np.abs(fs), np.abs(gs))))
 
 
 def abs_union_max(f: Signal, g: Signal) -> float:
@@ -93,14 +93,62 @@ def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> 
     return 2.0 * raw if normalized else raw
 
 
+def _guarded_ratio(num: np.ndarray, den: np.ndarray, eps: float, signed_den: bool = False) -> np.ndarray:
+    ok = (np.abs(den) if signed_den else den) >= eps
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+
+def profile_values(tag: str, cfg: SimilarityConfig, sums: np.ndarray,
+                   abs_total: float, sum_total: float, dx: float) -> np.ndarray:
+    """One index value per lag from the object/template window sums of kernels.sliding_sums."""
+    if tag == "classic":
+        return dx * sums[:, kernels.DOT]
+
+    eps = cfg.eps_denom
+    sm = dx * sums[:, kernels.SM]
+
+    if tag in ("jaccard_real", "coincidence"):
+        union = dx * (sums[:, kernels.MX] + (abs_total - sums[:, kernels.AFW]))
+        jac = _guarded_ratio(sm, union, eps)
+        if tag == "jaccard_real":
+            return jac
+        return jac * _interiority_values(cfg, sums, abs_total, dx)
+
+    if tag == "interiority":
+        return _interiority_values(cfg, sums, abs_total, dx)
+
+    if tag in ("jaccard_addition", "coincidence_addition"):
+        if cfg.addition_abs_denominator:
+            den = dx * (abs_total + sums[:, kernels.AGW])
+        else:
+            den = dx * (sum_total + sums[:, kernels.SGW])
+        jac = _guarded_ratio(2.0 * sm, den, eps, signed_den=True)
+        if tag == "jaccard_addition":
+            return jac
+        return jac * _interiority_values(cfg, sums, abs_total, dx)
+
+    raise DomainError(f"unknown method tag {tag!r}")
+
+
+def _interiority_values(cfg: SimilarityConfig, sums: np.ndarray,
+                        abs_total: float, dx: float) -> np.ndarray:
+    den = dx * np.minimum(abs_total, sums[:, kernels.AGW])
+    if cfg.interiority_signed_numerator:
+        num = dx * sums[:, kernels.SM]
+        return np.clip(_guarded_ratio(num, den, cfg.eps_denom), -1.0, 1.0)
+    num = dx * sums[:, kernels.UM]
+    return np.clip(_guarded_ratio(num, den, cfg.eps_denom), 0.0, 1.0)
+
+
+def _full_overlap(tag: str, f: Signal, g: Signal, cfg: SimilarityConfig | None) -> float:
+    require_aligned(f, g)
+    sums, abs_total, sum_total = kernels.sliding_sums(f.samples, g.samples, 0, 1)
+    return float(profile_values(tag, cfg or DEFAULT_CONFIG, sums, abs_total, sum_total, f.dx)[0])
+
+
 def jaccard_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
     """Real-valued Jaccard index: signed min-overlap over magnitude union, in [-1, 1]."""
-    cfg = cfg or DEFAULT_CONFIG
-    num = signed_min_intersection(f, g)
-    den = abs_union_max(f, g)
-    if den < cfg.eps_denom:
-        return 0.0
-    return num / den
+    return _full_overlap("jaccard_real", f, g, cfg)
 
 
 def interiority_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
@@ -110,22 +158,12 @@ def interiority_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) 
     cfg.interiority_signed_numerator it carries the sign product instead (then
     the clamp widens to [-1, 1]).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    require_aligned(f, g)
-    fa, ga = np.abs(f.samples), np.abs(g.samples)
-    den = min(f.dx * float(np.sum(fa)), f.dx * float(np.sum(ga)))
-    if den < cfg.eps_denom:
-        return 0.0
-    if cfg.interiority_signed_numerator:
-        num = f.dx * float(np.sum(_signed_min_terms(f.samples, g.samples)))
-        return float(np.clip(num / den, -1.0, 1.0))
-    num = f.dx * float(np.sum(np.minimum(fa, ga)))
-    return float(np.clip(num / den, 0.0, 1.0))
+    return _full_overlap("interiority", f, g, cfg)
 
 
 def coincidence_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
     """Product of the real-valued Jaccard and interiority indices; sign comes from Jaccard."""
-    return jaccard_real(f, g, cfg) * interiority_real(f, g, cfg)
+    return _full_overlap("coincidence", f, g, cfg)
 
 
 def jaccard_addition(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
@@ -135,23 +173,14 @@ def jaccard_addition(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) 
     guarded by cfg.eps_denom, and cfg.addition_abs_denominator substitutes
     the magnitude sum.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    num = 2.0 * signed_min_intersection(f, g)
-    if cfg.addition_abs_denominator:
-        den = f.dx * float(np.sum(np.abs(f.samples) + np.abs(g.samples)))
-    else:
-        den = f.dx * float(np.sum(f.samples + g.samples))
-    if abs(den) < cfg.eps_denom:
-        return 0.0
-    return num / den
+    return _full_overlap("jaccard_addition", f, g, cfg)
 
 
 def coincidence_addition(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
     """Product of the addition-based Jaccard and the interiority index."""
-    return jaccard_addition(f, g, cfg) * interiority_real(f, g, cfg)
+    return _full_overlap("coincidence_addition", f, g, cfg)
 
 
 def inner_product(f: Signal, g: Signal) -> float:
     """Plain discretized inner product; per-lag kernel of the classic cross-correlation."""
-    require_aligned(f, g)
-    return f.dx * float(np.sum(f.samples * g.samples))
+    return _full_overlap("classic", f, g, None)

@@ -1,4 +1,4 @@
-"""Sliding-window sum kernels shared by every correlation method.
+"""Sliding-window sum kernel shared by every correlation method.
 
 For each lag the engine needs seven window sums over the overlap between the
 object and the shifted template (the template is zero outside its support and
@@ -12,34 +12,26 @@ ignored off the object grid):
     index 5  SGW  sum of g over the overlap window
     index 6  DOT  sum of f*g
 
-The numba implementation is the default; set MFCORR_DISABLE_NUMBA=1 before
-import to force the pure-numpy fallback (also used when numba is missing).
-Both backends return (sums, abs_total, sum_total) where the totals are the
+The kernel returns (sums, abs_total, sum_total) where the totals are the
 full-grid sums of |f| and f, accumulated with the same reduction as the per-lag
 sums so that ratios of identical windows are exact.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_DISABLE = "MFCORR_DISABLE_NUMBA"
+ACTIVE_BACKEND = "numpy"
 
 SM, UM, MX, AFW, AGW, SGW, DOT = range(7)
 N_SUMS = 7
 
 
-def _disabled_by_env() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def sliding_sums_numpy(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
-    """Vectorized fallback: materializes the (n_lags, len(g)) window matrix.
+def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
+    """Window sums for lags k0 .. k0+n_lags-1 from the (n_lags, len(g)) window matrix.
 
     Memory is O(n_lags * len(g)); fine for the signal sizes this library
-    targets, the numba path is O(1) per lag.
+    targets.
     """
     n, m = f.size, g.size
     pad_left = max(0, -k0)
@@ -65,71 +57,3 @@ def sliding_sums_numpy(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
     sums[:, SGW] = gm.sum(axis=1)
     sums[:, DOT] = (w * gm).sum(axis=1)
     return sums, float(np.sum(np.abs(f))), float(np.sum(f))
-
-
-try:
-    if _disabled_by_env():
-        raise ImportError("numba disabled via " + ENV_DISABLE)
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _sliding_sums_jit(f, g, k0, out):  # pragma: no cover - exercised via wrapper
-        n = f.shape[0]
-        m = g.shape[0]
-        abs_total = 0.0
-        sum_total = 0.0
-        for i in range(n):
-            abs_total += abs(f[i])
-            sum_total += f[i]
-        for li in range(out.shape[0]):
-            k = k0 + li
-            lo = k if k > 0 else 0
-            hi = k + m if k + m < n else n
-            sm = 0.0
-            um = 0.0
-            mx = 0.0
-            afw = 0.0
-            agw = 0.0
-            sgw = 0.0
-            dot = 0.0
-            for i in range(lo, hi):
-                fv = f[i]
-                gv = g[i - k]
-                fa = -fv if fv < 0.0 else fv
-                ga = -gv if gv < 0.0 else gv
-                mn = fa if fa < ga else ga
-                sm += ((fv > 0.0) - (fv < 0.0)) * ((gv > 0.0) - (gv < 0.0)) * mn
-                um += mn
-                mx += fa if fa > ga else ga
-                afw += fa
-                agw += ga
-                sgw += gv
-                dot += fv * gv
-            out[li, 0] = sm
-            out[li, 1] = um
-            out[li, 2] = mx
-            out[li, 3] = afw
-            out[li, 4] = agw
-            out[li, 5] = sgw
-            out[li, 6] = dot
-        return abs_total, sum_total
-
-    def sliding_sums_numba(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
-        out = np.empty((n_lags, N_SUMS))
-        abs_total, sum_total = _sliding_sums_jit(
-            np.ascontiguousarray(f), np.ascontiguousarray(g), k0, out
-        )
-        return out, abs_total, sum_total
-
-    sliding_sums = sliding_sums_numba
-    ACTIVE_BACKEND = "numba"
-else:
-    sliding_sums_numba = None
-    sliding_sums = sliding_sums_numpy
-    ACTIVE_BACKEND = "numpy"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import INDEX_NAMES
-from .sweep import SweepRecord
+from .sweep import SweepRecord, _fmt
 
 DEFAULT_PCA_METHODS = ("classic", "jaccard_real", "coincidence")
 
@@ -93,9 +93,15 @@ def load_feature_matrix(path, level: int,
         for line in reader:
             if not line:
                 continue
-            if line[pos["method"]] not in wanted or int(line[pos["level"]]) != level:
-                continue
-            vals = [float(line[pos[name]]) for name in INDEX_NAMES]
+            try:
+                if line[pos["method"]] not in wanted or int(line[pos["level"]]) != level:
+                    continue
+                vals = [float(line[pos[name]]) for name in INDEX_NAMES]
+            except (IndexError, ValueError):
+                # row 1 is the first data row below the header; comment lines are not counted
+                raise AnalysisError(
+                    f"records file {path}, row {reader.line_num - 1}: expected {len(header)}"
+                    f" fields with a numeric level and figures, got {','.join(line)!r}") from None
             if not all(math.isfinite(v) for v in vals):
                 dropped += 1
                 continue
@@ -194,35 +200,31 @@ def project(m: FeatureMatrix, model: PcaModel) -> list[tuple[str, float, float]]
     return [(label, float(s[0]), float(s[1])) for label, s in zip(m.labels, scores)]
 
 
-def group_dispersion(projections: list[tuple[str, float, float]]) -> dict[str, float]:
-    """Per-label mean distance to the label centroid; labels with < 2 points skipped."""
+def _groups(projections: list[tuple[str, float, float]]) -> dict[str, np.ndarray]:
+    """(pc1, pc2) points per label, as (n, 2) arrays in first-seen label order."""
     groups: dict[str, list[tuple[float, float]]] = {}
     for label, pc1, pc2 in projections:
         groups.setdefault(label, []).append((pc1, pc2))
+    return {label: np.asarray(pts) for label, pts in groups.items()}
+
+
+def group_dispersion(projections: list[tuple[str, float, float]]) -> dict[str, float]:
+    """Per-label mean distance to the label centroid; labels with < 2 points skipped."""
     out: dict[str, float] = {}
-    for label, pts in groups.items():
+    for label, pts in _groups(projections).items():
         if len(pts) < 2:
             warnings.warn(f"label {label!r} has fewer than 2 points; skipped", stacklevel=2)
             continue
-        arr = np.asarray(pts)
-        centroid = arr.mean(axis=0)
-        out[label] = float(np.mean(np.linalg.norm(arr - centroid, axis=1)))
+        out[label] = float(np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
     return out
 
 
 def group_centroids(projections: list[tuple[str, float, float]]) -> dict[str, np.ndarray]:
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for label, pc1, pc2 in projections:
-        groups.setdefault(label, []).append((pc1, pc2))
-    return {label: np.asarray(pts).mean(axis=0) for label, pts in groups.items()}
+    return {label: pts.mean(axis=0) for label, pts in _groups(projections).items()}
 
 
 # ---------------------------------------------------------------------------
 # CSV outputs
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
-
 
 def write_projection_csv(projections: list[tuple[str, float, float]], path,
                          comment: str | None = None) -> None:

@@ -81,7 +81,6 @@ class Multiset:
 class SimilarityConfig:
     """Knobs shared by the similarity functionals.
 
-    alpha: mixing weight for the signed same/opposite-sign split, in [0, 1]
     eps_denom: denominators smaller than this yield 0 instead of dividing
     interiority_signed_numerator: carry the sign product in the interiority
         numerator instead of the default unsigned magnitude overlap
@@ -89,14 +88,11 @@ class SimilarityConfig:
         signed sum in the addition-based Jaccard denominator
     """
 
-    alpha: float = 0.5
     eps_denom: float = 1e-12
     interiority_signed_numerator: bool = False
     addition_abs_denominator: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DomainError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.eps_denom) and self.eps_denom > 0):
             raise DomainError(f"eps_denom must be positive, got {self.eps_denom}")
 

@@ -213,7 +213,7 @@ def config_comment(cfg: SweepConfig) -> str:
         f"sigma_p={_fmt(o.sigma_p)}", f"sigma_s={_fmt(o.sigma_s)}",
         f"xp={_fmt(o.x_p)}", f"xs={_fmt(o.x_s)}", f"grid={grid}",
         f"template_width={_fmt(t.width)}", f"template_amplitude={_fmt(t.amplitude)}",
-        f"alpha={_fmt(cfg.sim_cfg.alpha)}", f"eps_denom={_fmt(cfg.sim_cfg.eps_denom)}",
+        f"eps_denom={_fmt(cfg.sim_cfg.eps_denom)}",
     ]
     return "# " + " ".join(parts)
 

@@ -5,6 +5,7 @@ import pytest
 
 from mfcorr import ObjectSpec, gen_object
 from mfcorr.cli import CliError, _parse_levels, _parse_methods, main
+from mfcorr.sweep import RECORD_COLUMNS
 
 
 def _run(capsys, *argv):
@@ -213,6 +214,23 @@ def test_pca_missing_column_schema_error(tmp_path, capsys):
     code, _, err = _run(capsys, "pca", "--records", str(records),
                         "--levels", "1", "--out-dir", str(tmp_path))
     assert code == 1 and "missing required column" in err and "r_xs" in err
+
+
+@pytest.mark.parametrize("row", [
+    "classic,1,0,1,2",                        # short row
+    "classic,1,0,1,2,x,4,5,6,1,1",            # non-numeric figure
+    "classic,one,0,1,2,3,4,5,6,1,1",          # non-numeric level
+])
+def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
+    records = tmp_path / "records.csv"
+    records.write_text("# comment\n" + ",".join(RECORD_COLUMNS) + "\n"
+                       "classic,1,0,1,2,3,4,5,6,1,1\n" + row + "\n")
+    code, _, err = _run(capsys, "pca", "--records", str(records),
+                        "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(records) in err and "row 2" in err and repr(row) in err
 
 
 def test_pca_missing_records_file(tmp_path, capsys):
