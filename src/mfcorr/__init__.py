@@ -22,8 +22,7 @@ from .pca import (AnalysisError, FeatureMatrix, PcaModel,
                   feature_matrix_from_records, group_centroids, group_dispersion,
                   jacobi_eigh, load_feature_matrix, pca_fit, project)
 from .peaks import PeakMeasurement, detect_peaks, width_at_fraction
-from .signal import (AlignmentError, DomainError, Multiset, SimilarityConfig,
-                     Signal)
+from .signal import AlignmentError, DomainError, Multiset, Signal
 from .sweep import (DEFAULT_METHODS, Aggregate, SweepConfig, SweepRecord,
                     SweepResult, canonical_method, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
@@ -36,8 +35,8 @@ __all__ = [
     "DEFAULT_TEMPLATE_AMPLITUDE", "DEFAULT_TEMPLATE_WIDTH", "DomainError",
     "FeatureMatrix", "INDEX_NAMES", "Method", "Multiset",
     "N_NOISE_LEVELS", "NoiseSpec", "ObjectSpec", "PcaModel",
-    "PeakMeasurement", "PerformanceIndices", "Signal", "SimilarityConfig",
-    "SweepConfig", "SweepRecord", "SweepResult", "TemplateSpec",
+    "PeakMeasurement", "PerformanceIndices", "Signal", "SweepConfig",
+    "SweepRecord", "SweepResult", "TemplateSpec",
     "abs_union_max", "add_noise", "canonical_method", "coincidence_addition",
     "coincidence_real", "compute_indices", "correlate", "correlate_classic",
     "correlate_combined", "detect_peaks", "feature_matrix_from_records",

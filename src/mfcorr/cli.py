@@ -16,7 +16,7 @@ from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
 from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, canonical_method,
-                    method_profile, run_sweep, write_aggregates_csv,
+                    method_profile, run_sweep, write_aggregates_csv, write_csv,
                     write_records_csv)
 
 _FLOAT_KEYS = {"hp", "hs", "sigma_p", "sigma_s", "xp", "xs", "grid_start",
@@ -52,15 +52,15 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, defaults: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Fill args from the config file wherever the command line kept the default."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     cfg = _parse_config_file(args.config)
     for key, raw in cfg.items():
         if not hasattr(args, key):
             continue
-        if getattr(args, key) != getattr(defaults, key, None):
+        if getattr(args, key) != args.subparser.get_default(key):
             continue  # explicit flag wins over the file
         try:
             if key in _FLOAT_KEYS:
@@ -157,10 +157,8 @@ def _is_float(token: str) -> bool:
 
 
 def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> None:
-    lines = [comment, "lag,value"]
-    for lag, value in zip(result.lags, result.values):
-        lines.append(f"{_fmt(float(lag))},{_fmt(float(value))}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    write_csv(path, ("lag", "value"), zip(result.lags.tolist(), result.values.tolist()),
+              comment)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +196,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
                    f" realization={args.realization}"
                    f" noise_multiplier={_fmt(args.noise_multiplier)}"
                    f" normalize={int(bool(args.normalize))}")
-        path = out_dir / f"correlate_{name}.csv"
-        _write_profile_csv(profile, path, comment)
+        _write_profile_csv(profile, out_dir / f"correlate_{name}.csv", comment)
         wrote += 1
         try:
             pm = detect_peaks(profile.normalized(), spec)
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--normalize", action="store_true",
                         help="scale each profile by its peak magnitude")
     p_corr.add_argument("--out-dir", dest="out_dir", default=".")
-    p_corr.set_defaults(func=_cmd_correlate)
+    p_corr.set_defaults(func=_cmd_correlate, subparser=p_corr)
 
     p_bench = sub.add_parser("bench", help="run the noise sweep benchmark")
     _add_shared_flags(p_bench)
@@ -331,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--threads", type=int, default=1,
                          help="scheduling hint; never changes results")
     p_bench.add_argument("--out-dir", dest="out_dir", default=".")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, subparser=p_bench)
 
     p_pca = sub.add_parser("pca", help="project merit figures on 2 principal axes")
     p_pca.add_argument("--records", required=True, help="records.csv from bench")
@@ -340,23 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.add_argument("--out-dir", dest="out_dir", default=".")
     p_pca.add_argument("--config", default=None,
                        help="key=value file; explicit flags override it")
-    p_pca.set_defaults(func=_cmd_pca)
+    p_pca.set_defaults(func=_cmd_pca, subparser=p_pca)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        defaults = parser.parse_args([args.command] +
-                                     (["--records", args.records]
-                                      if args.command == "pca" else []))
-        _apply_config(args, defaults)
+        _apply_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ValueError) as exc:
+    except (CliError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

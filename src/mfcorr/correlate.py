@@ -16,19 +16,13 @@ at the matched feature's position.  The template's own x0 plays no role.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .indices import profile_values
-from .signal import (
-    AlignmentError,
-    DomainError,
-    Signal,
-    SimilarityConfig,
-    grids_compatible,
-)
+from .indices import EPS_DENOM, profile_values
+from .signal import AlignmentError, DomainError, Signal, grids_compatible
 
 METHOD_TAGS = (
     "classic",
@@ -46,10 +40,9 @@ BOUNDARIES = ("pad", "valid")
 
 @dataclass(frozen=True)
 class Method:
-    """A similarity method selection: closed tag plus its configuration."""
+    """A similarity method selection, checked against the closed set of tags."""
 
     tag: str
-    cfg: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
@@ -77,10 +70,10 @@ class CorrelationResult:
             return 0.0
         return float(self.lags[1] - self.lags[0])
 
-    def normalized(self, eps: float = 1e-12) -> "CorrelationResult":
-        """Profile divided by its maximum absolute value (all-zero profiles pass through)."""
+    def normalized(self) -> "CorrelationResult":
+        """Profile divided by its maximum absolute value (a peak below EPS_DENOM passes as is)."""
         peak = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        if peak < eps:
+        if peak < EPS_DENOM:
             return self
         return CorrelationResult(self.lags, self.values / peak, self.method, self.boundary)
 
@@ -111,7 +104,7 @@ def correlate(obj: Signal, template: Signal, method: Method,
     n, m = len(obj), len(template)
     k0, n_lags, center = _lag_geometry(n, m, boundary)
     sums, abs_total, sum_total = kernels.sliding_sums(obj.samples, template.samples, k0, n_lags)
-    values = profile_values(method.tag, method.cfg, sums, abs_total, sum_total, obj.dx)
+    values = profile_values(method.tag, sums, abs_total, sum_total, obj.dx)
     lags = obj.x0 + (k0 + np.arange(n_lags) + center) * obj.dx
     return CorrelationResult(lags, values, method, boundary)
 
@@ -132,6 +125,6 @@ def correlate_combined(obj: Signal, template: Signal, inner_method: Method,
     """
     if inner_method.tag == "classic":
         raise DomainError("combined method requires a multiset inner method, not classic")
-    stage1 = correlate_classic(obj, template, boundary).normalized(inner_method.cfg.eps_denom)
+    stage1 = correlate_classic(obj, template, boundary).normalized()
     stage2_obj = Signal(stage1.values, x0=float(stage1.lags[0]), dx=obj.dx)
     return correlate(stage2_obj, template, inner_method, boundary)

@@ -3,7 +3,8 @@
 All integrals are Riemann sums on the shared grid: integral(h) ~ dx * sum(h(x_i)).
 profile_values holds the real-valued index formulas, one value per lag from
 the kernel's window sums; a whole-signal functional is its full-overlap lag.
-Every functional is symmetric in its two arguments and pure.
+A denominator whose magnitude is below EPS_DENOM yields 0 instead of a
+quotient.  Every functional is symmetric in its two arguments and pure.
 """
 
 from __future__ import annotations
@@ -11,15 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .signal import (
-    DEFAULT_CONFIG,
-    DomainError,
-    Multiset,
-    Signal,
-    SimilarityConfig,
-    require_aligned,
-    require_same_size,
-)
+from .signal import DomainError, Multiset, Signal, require_aligned, require_same_size
+
+EPS_DENOM = 1e-12
 
 
 def set_jaccard(a: Multiset, b: Multiset) -> float:
@@ -93,94 +88,83 @@ def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> 
     return 2.0 * raw if normalized else raw
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray, eps: float, signed_den: bool = False) -> np.ndarray:
-    ok = (np.abs(den) if signed_den else den) >= eps
+def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -> np.ndarray:
+    ok = (np.abs(den) if signed_den else den) >= EPS_DENOM
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def profile_values(tag: str, cfg: SimilarityConfig, sums: np.ndarray,
-                   abs_total: float, sum_total: float, dx: float) -> np.ndarray:
+def profile_values(tag: str, sums: np.ndarray, abs_total: float, sum_total: float,
+                   dx: float) -> np.ndarray:
     """One index value per lag from the object/template window sums of kernels.sliding_sums."""
     if tag == "classic":
         return dx * sums[:, kernels.DOT]
 
-    eps = cfg.eps_denom
     sm = dx * sums[:, kernels.SM]
 
     if tag in ("jaccard_real", "coincidence"):
         union = dx * (sums[:, kernels.MX] + (abs_total - sums[:, kernels.AFW]))
-        jac = _guarded_ratio(sm, union, eps)
+        jac = _guarded_ratio(sm, union)
         if tag == "jaccard_real":
             return jac
-        return jac * _interiority_values(cfg, sums, abs_total, dx)
+        return jac * _interiority_values(sums, abs_total, dx)
 
     if tag == "interiority":
-        return _interiority_values(cfg, sums, abs_total, dx)
+        return _interiority_values(sums, abs_total, dx)
 
     if tag in ("jaccard_addition", "coincidence_addition"):
-        if cfg.addition_abs_denominator:
-            den = dx * (abs_total + sums[:, kernels.AGW])
-        else:
-            den = dx * (sum_total + sums[:, kernels.SGW])
-        jac = _guarded_ratio(2.0 * sm, den, eps, signed_den=True)
+        den = dx * (sum_total + sums[:, kernels.SGW])
+        jac = _guarded_ratio(2.0 * sm, den, signed_den=True)
         if tag == "jaccard_addition":
             return jac
-        return jac * _interiority_values(cfg, sums, abs_total, dx)
+        return jac * _interiority_values(sums, abs_total, dx)
 
     raise DomainError(f"unknown method tag {tag!r}")
 
 
-def _interiority_values(cfg: SimilarityConfig, sums: np.ndarray,
-                        abs_total: float, dx: float) -> np.ndarray:
-    den = dx * np.minimum(abs_total, sums[:, kernels.AGW])
-    if cfg.interiority_signed_numerator:
-        num = dx * sums[:, kernels.SM]
-        return np.clip(_guarded_ratio(num, den, cfg.eps_denom), -1.0, 1.0)
+def _interiority_values(sums: np.ndarray, abs_total: float, dx: float) -> np.ndarray:
     num = dx * sums[:, kernels.UM]
-    return np.clip(_guarded_ratio(num, den, cfg.eps_denom), 0.0, 1.0)
+    den = dx * np.minimum(abs_total, sums[:, kernels.AGW])
+    return np.clip(_guarded_ratio(num, den), 0.0, 1.0)
 
 
-def _full_overlap(tag: str, f: Signal, g: Signal, cfg: SimilarityConfig | None) -> float:
+def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
     sums, abs_total, sum_total = kernels.sliding_sums(f.samples, g.samples, 0, 1)
-    return float(profile_values(tag, cfg or DEFAULT_CONFIG, sums, abs_total, sum_total, f.dx)[0])
+    return float(profile_values(tag, sums, abs_total, sum_total, f.dx)[0])
 
 
-def jaccard_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
+def jaccard_real(f: Signal, g: Signal) -> float:
     """Real-valued Jaccard index: signed min-overlap over magnitude union, in [-1, 1]."""
-    return _full_overlap("jaccard_real", f, g, cfg)
+    return _full_overlap("jaccard_real", f, g)
 
 
-def interiority_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
+def interiority_real(f: Signal, g: Signal) -> float:
     """Overlap normalized by the smaller signal's total magnitude, clamped to [0, 1].
 
-    The numerator integrates the unsigned magnitude overlap min(|f|, |g|); with
-    cfg.interiority_signed_numerator it carries the sign product instead (then
-    the clamp widens to [-1, 1]).
+    The numerator integrates the unsigned magnitude overlap min(|f|, |g|).
     """
-    return _full_overlap("interiority", f, g, cfg)
+    return _full_overlap("interiority", f, g)
 
 
-def coincidence_real(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
+def coincidence_real(f: Signal, g: Signal) -> float:
     """Product of the real-valued Jaccard and interiority indices; sign comes from Jaccard."""
-    return _full_overlap("coincidence", f, g, cfg)
+    return _full_overlap("coincidence", f, g)
 
 
-def jaccard_addition(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
+def jaccard_addition(f: Signal, g: Signal) -> float:
     """Jaccard variant normalized by the plain sum of the two signals.
 
-    The literal signed-sum denominator can vanish for signed data; it is
-    guarded by cfg.eps_denom, and cfg.addition_abs_denominator substitutes
-    the magnitude sum.
+    The literal signed-sum denominator can vanish for signed data; a
+    denominator of magnitude below EPS_DENOM gives 0.
     """
-    return _full_overlap("jaccard_addition", f, g, cfg)
+    return _full_overlap("jaccard_addition", f, g)
 
 
-def coincidence_addition(f: Signal, g: Signal, cfg: SimilarityConfig | None = None) -> float:
+def coincidence_addition(f: Signal, g: Signal) -> float:
     """Product of the addition-based Jaccard and the interiority index."""
-    return _full_overlap("coincidence_addition", f, g, cfg)
+    return _full_overlap("coincidence_addition", f, g)
 
 
 def inner_product(f: Signal, g: Signal) -> float:
     """Plain discretized inner product; per-lag kernel of the classic cross-correlation."""
-    return _full_overlap("classic", f, g, None)
+    return _full_overlap("classic", f, g)

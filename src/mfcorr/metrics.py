@@ -4,7 +4,8 @@ Sign conventions follow the comparison framework: localization errors are
 relative displacements (desirable near zero), r_h is the detected height
 contrast normalized by the object's own contrast (desirable high), r_wp and
 r_ws are width-to-height ratios of the two detected peaks, and the overlap
-integral runs between the two detected positions over the raw profile.
+integral runs between the two detected positions over the raw profile, so
+negative profile values between the peaks lower it.
 """
 
 from __future__ import annotations
@@ -36,20 +37,16 @@ class PerformanceIndices:
         return {name: getattr(self, name) for name in INDEX_NAMES}
 
 
-def overlap_integral(profile: CorrelationResult, x_lo: float, x_hi: float,
-                     clamp_negative: bool = False) -> float:
-    """Riemann sum of the profile over [x_lo, x_hi] (raw values by default)."""
+def overlap_integral(profile: CorrelationResult, x_lo: float, x_hi: float) -> float:
+    """Riemann sum of the raw profile over [x_lo, x_hi]; negative values count as negative."""
     if x_hi < x_lo:
         x_lo, x_hi = x_hi, x_lo
     inside = (profile.lags >= x_lo) & (profile.lags <= x_hi)
-    values = profile.values[inside]
-    if clamp_negative:
-        values = np.maximum(values, 0.0)
-    return float(profile.dx * np.sum(values))
+    return float(profile.dx * np.sum(profile.values[inside]))
 
 
-def compute_indices(pm: PeakMeasurement, spec: ObjectSpec, profile: CorrelationResult,
-                    clamp_negative_overlap: bool = False) -> PerformanceIndices:
+def compute_indices(pm: PeakMeasurement, spec: ObjectSpec,
+                    profile: CorrelationResult) -> PerformanceIndices:
     """Merit figures for one detected profile; secondary-based ones flagged missing."""
     if pm.h1 <= 0:
         raise DomainError("primary peak height must be positive to compute indices")
@@ -63,5 +60,5 @@ def compute_indices(pm: PeakMeasurement, spec: ObjectSpec, profile: CorrelationR
         r_xs=(spec.x_s - pm.x2) / spec.x_s,
         r_h=(pm.h1 / pm.h2) / (spec.h_p / spec.h_s),
         r_ws=pm.w2 / pm.h2,
-        alpha_overlap=overlap_integral(profile, pm.x1, pm.x2, clamp_negative_overlap),
+        alpha_overlap=overlap_integral(profile, pm.x1, pm.x2),
     )

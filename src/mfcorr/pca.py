@@ -2,7 +2,8 @@
 
 The feature matrices here are tiny (hundreds of rows, six columns), so the
 eigendecomposition is a self-contained cyclic Jacobi rotation sweep on the
-covariance matrix rather than a LAPACK call.
+covariance matrix rather than a LAPACK call.  Columns are always
+standardized (centered and scaled to unit variance) before the fit.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import INDEX_NAMES
-from .sweep import SweepRecord, _fmt
+from .sweep import SweepRecord, write_csv
 
 DEFAULT_PCA_METHODS = ("classic", "jaccard_real", "coincidence")
+
+# Jacobi stops once the off-diagonal norm is below JACOBI_TOL times the
+# matrix norm, or after JACOBI_MAX_SWEEPS cyclic sweeps.
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 100
 
 
 class AnalysisError(ValueError):
@@ -49,7 +55,6 @@ class PcaModel:
     kept: tuple[str, ...]           # columns surviving the zero-variance filter
     means: np.ndarray               # per kept column
     stds: np.ndarray                # per kept column (ddof=1)
-    standardize: bool
     eigenvalues: np.ndarray         # all, non-increasing
     components: np.ndarray          # (2, len(kept)) rows = axes
     variance_explained: tuple[float, float]
@@ -90,18 +95,22 @@ def load_feature_matrix(path, level: int,
         pos = {col: header.index(col) for col in required}
         rows, labels, dropped = [], [], 0
         wanted = set(methods)
+        blank = 0
         for line in reader:
             if not line:
+                blank += 1
                 continue
             try:
                 if line[pos["method"]] not in wanted or int(line[pos["level"]]) != level:
                     continue
                 vals = [float(line[pos[name]]) for name in INDEX_NAMES]
             except (IndexError, ValueError):
-                # row 1 is the first data row below the header; comment lines are not counted
+                # row 1 is the first data row below the header; comment and blank
+                # lines are not counted
                 raise AnalysisError(
-                    f"records file {path}, row {reader.line_num - 1}: expected {len(header)}"
-                    f" fields with a numeric level and figures, got {','.join(line)!r}") from None
+                    f"records file {path}, row {reader.line_num - 1 - blank}: expected"
+                    f" {len(header)} fields with a numeric level and figures,"
+                    f" got {','.join(line)!r}") from None
             if not all(math.isfinite(v) for v in vals):
                 dropped += 1
                 continue
@@ -112,8 +121,7 @@ def load_feature_matrix(path, level: int,
     return FeatureMatrix(np.asarray(rows), tuple(labels), INDEX_NAMES, dropped)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (non-increasing) and eigenvectors (columns) of a symmetric matrix.
 
     Cyclic Jacobi rotations; each eigenvector's largest-magnitude entry is made
@@ -128,9 +136,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14,
     if scale == 0.0:
         return np.zeros(n), v
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -162,8 +170,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14,
     return eigenvalues, v
 
 
-def pca_fit(m: FeatureMatrix, standardize: bool = True) -> PcaModel:
-    """Center (and optionally scale) columns, eigendecompose the covariance, keep 2 axes."""
+def pca_fit(m: FeatureMatrix) -> PcaModel:
+    """Standardize columns, eigendecompose their covariance, keep 2 axes."""
     x = m.values
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1)
@@ -173,9 +181,7 @@ def pca_fit(m: FeatureMatrix, standardize: bool = True) -> PcaModel:
         warnings.warn(f"dropping zero-variance columns: {dropped}", stacklevel=2)
     if int(keep.sum()) < 2:
         raise AnalysisError("fewer than 2 usable columns after cleaning")
-    xk = x[:, keep] - means[keep]
-    if standardize:
-        xk = xk / stds[keep]
+    xk = (x[:, keep] - means[keep]) / stds[keep]
     cov = xk.T @ xk / (x.shape[0] - 1)
     eigenvalues, vectors = jacobi_eigh(cov)
     total = float(np.sum(np.maximum(eigenvalues, 0.0)))
@@ -184,7 +190,7 @@ def pca_fit(m: FeatureMatrix, standardize: bool = True) -> PcaModel:
     explained = (float(max(eigenvalues[0], 0.0) / total),
                  float(max(eigenvalues[1], 0.0) / total))
     kept = tuple(c for c, k in zip(m.columns, keep) if k)
-    return PcaModel(tuple(m.columns), kept, means[keep], stds[keep], standardize,
+    return PcaModel(tuple(m.columns), kept, means[keep], stds[keep],
                     eigenvalues, vectors[:, :2].T.copy(), explained)
 
 
@@ -193,9 +199,7 @@ def project(m: FeatureMatrix, model: PcaModel) -> list[tuple[str, float, float]]
     if tuple(m.columns) != model.columns:
         raise AnalysisError(f"column schema mismatch: {m.columns} vs {model.columns}")
     keep = [i for i, c in enumerate(m.columns) if c in model.kept]
-    xk = m.values[:, keep] - model.means
-    if model.standardize:
-        xk = xk / model.stds
+    xk = (m.values[:, keep] - model.means) / model.stds
     scores = xk @ model.components.T
     return [(label, float(s[0]), float(s[1])) for label, s in zip(m.labels, scores)]
 
@@ -228,33 +232,21 @@ def group_centroids(projections: list[tuple[str, float, float]]) -> dict[str, np
 
 def write_projection_csv(projections: list[tuple[str, float, float]], path,
                          comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append("label,pc1,pc2")
-    for label, pc1, pc2 in projections:
-        lines.append(f"{label},{_fmt(pc1)},{_fmt(pc2)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("label", "pc1", "pc2"), projections, comment)
 
 
 def write_meta_csv(model: PcaModel, m: FeatureMatrix,
                    dispersions: dict[str, float], path,
                    comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append("key,value")
-    lines.append(f"variance_explained_1,{_fmt(model.variance_explained[0])}")
-    lines.append(f"variance_explained_2,{_fmt(model.variance_explained[1])}")
-    lines.append(f"variance_explained_top2,{_fmt(sum(model.variance_explained))}")
-    lines.append(f"n_rows,{m.values.shape[0]}")
-    lines.append(f"n_dropped_rows,{m.n_dropped}")
     dropped_cols = [c for c in model.columns if c not in model.kept]
-    lines.append("dropped_columns," + (";".join(dropped_cols) if dropped_cols else "none"))
-    for i, ev in enumerate(model.eigenvalues, start=1):
-        lines.append(f"eigenvalue_{i},{_fmt(float(ev))}")
-    for label in sorted(dispersions):
-        lines.append(f"dispersion_{label},{_fmt(dispersions[label])}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        ("variance_explained_1", model.variance_explained[0]),
+        ("variance_explained_2", model.variance_explained[1]),
+        ("variance_explained_top2", sum(model.variance_explained)),
+        ("n_rows", m.values.shape[0]),
+        ("n_dropped_rows", m.n_dropped),
+        ("dropped_columns", ";".join(dropped_cols) if dropped_cols else "none"),
+    ]
+    rows += [(f"eigenvalue_{i}", float(ev)) for i, ev in enumerate(model.eigenvalues, start=1)]
+    rows += [(f"dispersion_{label}", dispersions[label]) for label in sorted(dispersions)]
+    write_csv(path, ("key", "value"), rows, comment)

@@ -35,10 +35,9 @@ class PeakMeasurement:
         return self.x2 is not None
 
 
-def width_at_fraction(lags: np.ndarray, values: np.ndarray, peak: int,
-                      fraction: float = WIDTH_FRACTION) -> float:
-    """Extent of the contiguous super-level region around values[peak]."""
-    level = fraction * values[peak]
+def width_at_fraction(lags: np.ndarray, values: np.ndarray, peak: int) -> float:
+    """Extent of the contiguous region around values[peak] at or above WIDTH_FRACTION of it."""
+    level = WIDTH_FRACTION * values[peak]
     n = values.size
 
     j = peak

@@ -1,4 +1,4 @@
-"""Core data types: sampled signals, discrete multisets, similarity configuration."""
+"""Core data types: sampled signals, discrete multisets, and grid alignment checks."""
 
 from __future__ import annotations
 
@@ -75,29 +75,6 @@ class Multiset:
 
     def __len__(self) -> int:
         return self.multiplicities.size
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """Knobs shared by the similarity functionals.
-
-    eps_denom: denominators smaller than this yield 0 instead of dividing
-    interiority_signed_numerator: carry the sign product in the interiority
-        numerator instead of the default unsigned magnitude overlap
-    addition_abs_denominator: use sum of magnitudes instead of the literal
-        signed sum in the addition-based Jaccard denominator
-    """
-
-    eps_denom: float = 1e-12
-    interiority_signed_numerator: bool = False
-    addition_abs_denominator: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eps_denom) and self.eps_denom > 0):
-            raise DomainError(f"eps_denom must be positive, got {self.eps_denom}")
-
-
-DEFAULT_CONFIG = SimilarityConfig()
 
 
 def grids_compatible(f: Signal, g: Signal) -> bool:

@@ -31,9 +31,10 @@ from .generators import (
     gen_object,
     gen_template,
 )
+from .indices import EPS_DENOM
 from .metrics import INDEX_NAMES, PerformanceIndices, compute_indices
 from .peaks import detect_peaks
-from .signal import DEFAULT_CONFIG, DomainError, Signal, SimilarityConfig
+from .signal import DomainError, Signal
 
 DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coincidence")
 
@@ -64,13 +65,12 @@ def canonical_method(name: str) -> str:
 
 
 def method_profile(name: str, obj: Signal, template: Signal,
-                   cfg: SimilarityConfig = DEFAULT_CONFIG,
                    boundary: str = "pad") -> CorrelationResult:
     """Profile for a canonical method name, handling the combined two-stage form."""
     if name.startswith(COMBINED_PREFIX):
-        inner = Method(name[len(COMBINED_PREFIX):], cfg)
+        inner = Method(name[len(COMBINED_PREFIX):])
         return correlate_combined(obj, template, inner, boundary)
-    return correlate(obj, template, Method(name, cfg), boundary)
+    return correlate(obj, template, Method(name), boundary)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ class SweepConfig:
     base_seed: int = 0
     noise_multiplier: float = 1.0
     boundary: str = "pad"
-    sim_cfg: SimilarityConfig = field(default_factory=SimilarityConfig)
-    clamp_negative_overlap: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "methods",
@@ -180,11 +178,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 def _run_cell(name: str, noisy: Signal, template: Signal, cfg: SweepConfig,
               level: int, realization: int) -> SweepRecord:
-    profile = method_profile(name, noisy, template, cfg.sim_cfg, cfg.boundary).normalized()
+    profile = method_profile(name, noisy, template, cfg.boundary).normalized()
     try:
         pm = detect_peaks(profile, cfg.object_spec)
-        indices = compute_indices(pm, cfg.object_spec, profile,
-                                  cfg.clamp_negative_overlap)
+        indices = compute_indices(pm, cfg.object_spec, profile)
     except DomainError:
         indices = None
     return SweepRecord(name, level, realization, indices)
@@ -194,9 +191,23 @@ def _run_cell(name: str, noisy: Signal, template: Signal, cfg: SweepConfig,
 # CSV serialization (column order fixed; floats at 9 significant digits)
 
 def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return format(value, ".9g")
+    # format() writes every NaN, whatever its sign bit, as "nan"
+    return "nan" if value is None else format(value, ".9g")
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write an optional `#` comment line, the header and one line per row.
+
+    Float and None cells go through _fmt (None and nan read `nan`); any other
+    cell (a name, an integer count) is written with str().
+    """
+    lines = [comment] if comment else []
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join([_fmt(v) if v is None or isinstance(v, float) else str(v)
+                               for v in row]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def config_comment(cfg: SweepConfig) -> str:
@@ -213,20 +224,17 @@ def config_comment(cfg: SweepConfig) -> str:
         f"sigma_p={_fmt(o.sigma_p)}", f"sigma_s={_fmt(o.sigma_s)}",
         f"xp={_fmt(o.x_p)}", f"xs={_fmt(o.x_s)}", f"grid={grid}",
         f"template_width={_fmt(t.width)}", f"template_amplitude={_fmt(t.amplitude)}",
-        f"eps_denom={_fmt(cfg.sim_cfg.eps_denom)}",
+        f"eps_denom={_fmt(EPS_DENOM)}",
     ]
     return "# " + " ".join(parts)
 
 
 def write_records_csv(result: SweepResult, path) -> None:
-    lines = [config_comment(result.config), ",".join(RECORD_COLUMNS)]
-    for rec in result.records:
-        row = [rec.method, str(rec.level), str(rec.realization)]
-        row += [_fmt(rec.index_value(name)) for name in INDEX_NAMES]
-        row += [str(int(rec.primary_found)), str(int(rec.secondary_found))]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ([rec.method, rec.level, rec.realization]
+            + [rec.index_value(name) for name in INDEX_NAMES]
+            + [int(rec.primary_found), int(rec.secondary_found)]
+            for rec in result.records)
+    write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
 
 
 def aggregate_columns() -> list[str]:
@@ -237,19 +245,18 @@ def aggregate_columns() -> list[str]:
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
-    lines = [config_comment(result.config), ",".join(aggregate_columns())]
     cell_sizes: dict[tuple[str, int], int] = {}
     for rec in result.records:
         key = (rec.method, rec.level)
         cell_sizes[key] = cell_sizes.get(key, 0) + 1
+    rows = []
     for level in result.config.levels:
         for method in result.config.methods:
             key = (method, level)
             aggs = result.aggregates[key]
-            row = [method, str(level), str(cell_sizes[key])]
+            row = [method, level, cell_sizes[key]]
             for name in INDEX_NAMES:
                 agg = aggs[name]
-                row += [_fmt(agg.mean), _fmt(agg.std), str(agg.n)]
-            lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+                row += [agg.mean, agg.std, agg.n]
+            rows.append(row)
+    write_csv(path, aggregate_columns(), rows, config_comment(result.config))

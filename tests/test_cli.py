@@ -220,6 +220,7 @@ def test_pca_missing_column_schema_error(tmp_path, capsys):
     "classic,1,0,1,2",                        # short row
     "classic,1,0,1,2,x,4,5,6,1,1",            # non-numeric figure
     "classic,one,0,1,2,3,4,5,6,1,1",          # non-numeric level
+    "\nclassic,1,0,1,2",                      # short row after a blank line
 ])
 def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
     records = tmp_path / "records.csv"
@@ -230,7 +231,8 @@ def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert str(records) in err and "row 2" in err and repr(row) in err
+    # blank lines are not data rows, so the bad row is the 2nd either way
+    assert str(records) in err and "row 2" in err and repr(row.lstrip("\n")) in err
 
 
 def test_pca_missing_records_file(tmp_path, capsys):

@@ -68,13 +68,11 @@ def test_overlap_order_insensitive():
     assert overlap_integral(p, 3.0, 1.0) == overlap_integral(p, 1.0, 3.0)
 
 
-def test_overlap_clamp_negative():
+def test_overlap_counts_negative_values():
     vals = np.concatenate([np.full(10, -1.0), np.full(10, 1.0)])
     p = profile(vals, dx=0.1)
-    raw = overlap_integral(p, 0.0, 1.95)
-    clamped = overlap_integral(p, 0.0, 1.95, clamp_negative=True)
-    assert raw == pytest.approx(0.0, abs=1e-12)
-    assert clamped == pytest.approx(1.0, abs=1e-12)
+    assert overlap_integral(p, 0.0, 1.95) == pytest.approx(0.0, abs=1e-12)
+    assert overlap_integral(p, 0.0, 0.95) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_alpha_overlap_uses_detected_positions():

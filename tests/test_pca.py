@@ -107,7 +107,7 @@ def test_rank_one_data_explained_entirely_by_pc1():
     direction = np.array([1.0, -2.0, 0.5, 3.0, 1.5, -1.0])
     values = np.outer(t, direction)
     m = FeatureMatrix(values, _labels(40))
-    model = pca_fit(m, standardize=False)
+    model = pca_fit(m)
     assert model.variance_explained[0] == pytest.approx(1.0, abs=1e-12)
     assert model.variance_explained[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -116,7 +116,7 @@ def test_isotropic_data_spreads_variance_evenly():
     rng = np.random.default_rng(22)
     values = rng.normal(size=(10_000, 6))
     m = FeatureMatrix(values, _labels(10_000))
-    model = pca_fit(m, standardize=True)
+    model = pca_fit(m)
     assert model.variance_explained[0] == pytest.approx(1.0 / 6.0, abs=0.05)
     assert model.variance_explained[1] == pytest.approx(1.0 / 6.0, abs=0.05)
 
@@ -125,7 +125,7 @@ def test_pc1_score_variance_equals_top_eigenvalue():
     rng = np.random.default_rng(23)
     values = rng.normal(size=(300, 6)) @ np.diag([4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
     m = FeatureMatrix(values, _labels(300))
-    model = pca_fit(m, standardize=True)
+    model = pca_fit(m)
     scores = np.array([(p1, p2) for _, p1, p2 in project(m, model)])
     assert np.var(scores[:, 0], ddof=1) == pytest.approx(model.eigenvalues[0], rel=1e-8)
     assert np.var(scores[:, 1], ddof=1) == pytest.approx(model.eigenvalues[1], rel=1e-8)
@@ -135,10 +135,9 @@ def test_projection_of_training_data_is_centered():
     rng = np.random.default_rng(24)
     values = rng.normal(loc=5.0, size=(120, 6))
     m = FeatureMatrix(values, _labels(120))
-    for standardize in (True, False):
-        model = pca_fit(m, standardize=standardize)
-        scores = np.array([(p1, p2) for _, p1, p2 in project(m, model)])
-        assert np.abs(scores.mean(axis=0)).max() <= 1e-10
+    model = pca_fit(m)
+    scores = np.array([(p1, p2) for _, p1, p2 in project(m, model)])
+    assert np.abs(scores.mean(axis=0)).max() <= 1e-10
 
 
 def test_zero_variance_column_dropped_with_warning():
