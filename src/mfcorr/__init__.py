@@ -2,7 +2,7 @@
 
 Real-valued Jaccard, interiority, and coincidence indices; sliding-window
 correlation profiles built on them; a template-matching benchmark under
-uniform noise; and a small from-scratch PCA for the resulting merit figures.
+uniform noise; and a small PCA for the resulting merit figures.
 """
 
 from .correlate import (BOUNDARIES, CorrelationResult, Method, correlate,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,14 +167,9 @@ def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> N
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
+    obj = _load_object_csv(args.object) if args.object else gen_object(spec)
     template = gen_template(TemplateSpec(args.template_width, args.template_amplitude),
-                            spec.dx)
-    if args.object:
-        obj = _load_object_csv(args.object)
-        template = gen_template(TemplateSpec(args.template_width, args.template_amplitude),
-                                obj.dx)
-    else:
-        obj = gen_object(spec)
+                            obj.dx)
     if args.noise_level:
         noise = NoiseSpec(args.noise_level, args.seed, args.realization,
                           args.noise_multiplier)
@@ -246,18 +242,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_pca(args: argparse.Namespace) -> int:
     levels = _parse_levels(args.levels)
     methods = _parse_methods(args.methods)
+    records_name = Path(args.records).name
+    try:
+        records = pca_mod.read_records(args.records)
+    except (pca_mod.AnalysisError, OSError) as exc:
+        raise CliError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = 0
     for level in levels:
-        try:
-            matrix = pca_mod.load_feature_matrix(args.records, level, methods)
-            model = pca_mod.pca_fit(matrix)
-            projections = pca_mod.project(matrix, model)
-            dispersions = pca_mod.group_dispersion(projections)
-        except (pca_mod.AnalysisError, OSError) as exc:
-            raise CliError(f"level {level}: {exc}") from exc
-        comment = (f"# records={Path(args.records).name} level={level}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                matrix = pca_mod.level_matrix(records, level, methods)
+                model = pca_mod.pca_fit(matrix)
+                projections = pca_mod.project(matrix, model)
+                dispersions = pca_mod.group_dispersion(projections)
+            except pca_mod.AnalysisError as exc:
+                raise CliError(f"level {level}: {exc}") from exc
+        for warning in caught:
+            print(f"warning: level {level}: {warning.message} ({records_name})",
+                  file=sys.stderr)
+        comment = (f"# records={records_name} level={level}"
                    f" methods={','.join(methods)}")
         pca_mod.write_projection_csv(projections, out_dir / f"pca_{level}.csv", comment)
         pca_mod.write_meta_csv(model, matrix, dispersions,

@@ -27,10 +27,7 @@ def set_jaccard(a: Multiset, b: Multiset) -> float:
     for name, m in (("a", am), ("b", bm)):
         if not np.all((m == 0.0) | (m == 1.0)):
             raise DomainError(f"{name} must have binary multiplicities for set_jaccard")
-    union = float(np.sum(np.maximum(am, bm)))
-    if union == 0.0:
-        return 0.0
-    return float(np.sum(np.minimum(am, bm))) / union
+    return multiset_jaccard(a, b)
 
 
 def multiset_jaccard(a: Multiset, b: Multiset) -> float:
@@ -129,8 +126,9 @@ def _interiority_values(sums: np.ndarray, abs_total: float, dx: float) -> np.nda
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
-    sums, abs_total, sum_total = kernels.sliding_sums(f.samples, g.samples, 0, 1)
-    return float(profile_values(tag, sums, abs_total, sum_total, f.dx)[0])
+    sums = kernels.window_sums(f.samples[None, :], g.samples[None, :])
+    return float(profile_values(tag, sums, sums[0, kernels.AFW], float(np.sum(f.samples)),
+                                f.dx)[0])
 
 
 def jaccard_real(f: Signal, g: Signal) -> float:

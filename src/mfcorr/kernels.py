@@ -14,7 +14,9 @@ ignored off the object grid):
 
 The kernel returns (sums, abs_total, sum_total) where the totals are the
 full-grid sums of |f| and f, accumulated with the same reduction as the per-lag
-sums so that ratios of identical windows are exact.
+sums so that ratios of identical windows are exact.  window_sums computes the
+seven sums from a window matrix; the whole-signal functionals in indices call
+it on one row.
 """
 
 from __future__ import annotations
@@ -44,11 +46,16 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
     idx = (k0 + np.arange(n_lags))[:, None] + np.arange(m)[None, :]
     gm = np.where((idx >= 0) & (idx < n), g[None, :], 0.0)
 
+    return window_sums(w, gm), float(np.sum(np.abs(f))), float(np.sum(f))
+
+
+def window_sums(w: np.ndarray, gm: np.ndarray) -> np.ndarray:
+    """The seven sums of each row of the window matrix w against the masked template gm."""
     fa = np.abs(w)
     ga = np.abs(gm)
     mn = np.minimum(fa, ga)
 
-    sums = np.empty((n_lags, N_SUMS))
+    sums = np.empty((w.shape[0], N_SUMS))
     sums[:, SM] = (np.sign(w) * np.sign(gm) * mn).sum(axis=1)
     sums[:, UM] = mn.sum(axis=1)
     sums[:, MX] = np.maximum(fa, ga).sum(axis=1)
@@ -56,4 +63,4 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int):
     sums[:, AGW] = ga.sum(axis=1)
     sums[:, SGW] = gm.sum(axis=1)
     sums[:, DOT] = (w * gm).sum(axis=1)
-    return sums, float(np.sum(np.abs(f))), float(np.sum(f))
+    return sums

@@ -1,9 +1,10 @@
 """Principal component analysis of per-realization merit figures.
 
-The feature matrices here are tiny (hundreds of rows, six columns), so the
-eigendecomposition is a self-contained cyclic Jacobi rotation sweep on the
-covariance matrix rather than a LAPACK call.  Columns are always
-standardized (centered and scaled to unit variance) before the fit.
+A records file is parsed once into packed columns (read_records); each noise
+level's feature matrix is then selected from them (level_matrix), and
+in-memory sweep records go through the same selection.  Columns are always
+standardized (centered and scaled to unit variance) before the fit, and
+np.linalg.eigh decomposes their covariance.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +21,6 @@ from .metrics import INDEX_NAMES
 from .sweep import SweepRecord, write_csv
 
 DEFAULT_PCA_METHODS = ("classic", "jaccard_real", "coincidence")
-
-# Jacobi stops once the off-diagonal norm is below JACOBI_TOL times the
-# matrix norm, or after JACOBI_MAX_SWEEPS cyclic sweeps.
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 
 class AnalysisError(ValueError):
@@ -60,50 +57,53 @@ class PcaModel:
     variance_explained: tuple[float, float]
 
 
+@dataclass(frozen=True)
+class RecordColumns:
+    """Records as packed columns: per row a method code, a level and the six figures."""
+
+    methods: tuple[str, ...]        # method name of each code
+    codes: np.ndarray               # (N,) method codes
+    levels: np.ndarray              # (N,) noise levels
+    figures: np.ndarray             # (N, 6) merit figures, nan where missing
+
+
 def feature_matrix_from_records(records: list[SweepRecord], level: int,
                                 methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
     """Collect complete index vectors for one noise level; incomplete rows are dropped."""
-    rows, labels, dropped = [], [], 0
-    wanted = set(methods)
-    for rec in records:
-        if rec.level != level or rec.method not in wanted:
-            continue
-        vals = [rec.index_value(name) for name in INDEX_NAMES]
-        if any(v is None or not math.isfinite(v) for v in vals):
-            dropped += 1
-            continue
-        rows.append(vals)
-        labels.append(rec.method)
-    if len(rows) < 2:
-        raise AnalysisError(f"not enough complete rows at level {level}")
-    return FeatureMatrix(np.asarray(rows), tuple(labels), INDEX_NAMES, dropped)
+    names: dict[str, int] = {}
+    codes = [names.setdefault(rec.method, len(names)) for rec in records]
+    figures = [[math.nan if v is None else v for v in map(rec.index_value, INDEX_NAMES)]
+               for rec in records]
+    columns = RecordColumns(tuple(names), np.array(codes, dtype=np.int64),
+                            np.array([rec.level for rec in records], dtype=np.int64),
+                            np.array(figures, dtype=np.float64).reshape(-1, len(INDEX_NAMES)))
+    return level_matrix(columns, level, methods)
 
 
-def load_feature_matrix(path, level: int,
-                        methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
-    """Read a records CSV written by the sweep and build the level's feature matrix."""
+def read_records(path) -> RecordColumns:
+    """Parse and check every data row of a records CSV written by the sweep."""
     with open(path, newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         try:
             header = next(reader)
         except StopIteration:
             raise AnalysisError(f"records file {path} is empty") from None
-        required = ("method", "level") + INDEX_NAMES
-        for col in required:
+        for col in ("method", "level") + INDEX_NAMES:
             if col not in header:
                 raise AnalysisError(f"records file missing required column {col!r}")
-        pos = {col: header.index(col) for col in required}
-        rows, labels, dropped = [], [], 0
-        wanted = set(methods)
+        method_pos, level_pos = header.index("method"), header.index("level")
+        figure_pos = [header.index(name) for name in INDEX_NAMES]
+        names: dict[str, int] = {}
+        codes, levels, figures = array("q"), array("q"), array("d")
         blank = 0
         for line in reader:
             if not line:
                 blank += 1
                 continue
             try:
-                if line[pos["method"]] not in wanted or int(line[pos["level"]]) != level:
-                    continue
-                vals = [float(line[pos[name]]) for name in INDEX_NAMES]
+                levels.append(int(line[level_pos]))
+                figures.extend([float(line[i]) for i in figure_pos])
+                codes.append(names.setdefault(line[method_pos], len(names)))
             except (IndexError, ValueError):
                 # row 1 is the first data row below the header; comment and blank
                 # lines are not counted
@@ -111,63 +111,48 @@ def load_feature_matrix(path, level: int,
                     f"records file {path}, row {reader.line_num - 1 - blank}: expected"
                     f" {len(header)} fields with a numeric level and figures,"
                     f" got {','.join(line)!r}") from None
-            if not all(math.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            rows.append(vals)
-            labels.append(line[pos["method"]])
-    if len(rows) < 2:
+    return RecordColumns(tuple(names), np.frombuffer(codes, dtype=np.int64),
+                         np.frombuffer(levels, dtype=np.int64),
+                         np.frombuffer(figures).reshape(-1, len(INDEX_NAMES)))
+
+
+def level_matrix(columns: RecordColumns, level: int,
+                 methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
+    """Feature matrix of one level: the complete rows of the wanted methods, in row order."""
+    wanted = [code for code, name in enumerate(columns.methods) if name in methods]
+    selected = (columns.levels == level) & np.isin(columns.codes, wanted)
+    complete = np.isfinite(columns.figures).all(axis=1)
+    keep = selected & complete
+    if np.count_nonzero(keep) < 2:
         raise AnalysisError(f"not enough complete rows at level {level}")
-    return FeatureMatrix(np.asarray(rows), tuple(labels), INDEX_NAMES, dropped)
+    labels = tuple(columns.methods[code] for code in columns.codes[keep])
+    return FeatureMatrix(columns.figures[keep], labels, INDEX_NAMES,
+                         int(np.count_nonzero(selected & ~complete)))
+
+
+def load_feature_matrix(path, level: int,
+                        methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
+    """Read a records CSV written by the sweep and build the level's feature matrix."""
+    return level_matrix(read_records(path), level, methods)
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (non-increasing) and eigenvectors (columns) of a symmetric matrix.
 
-    Cyclic Jacobi rotations; each eigenvector's largest-magnitude entry is made
+    np.linalg.eigh solves it; the name is older than that and stays because
+    the benchmark's tracer wraps this function by name.  Equal eigenvalues
+    keep eigh's order, and each eigenvector's largest-magnitude entry is made
     positive so the decomposition is deterministic.
     """
-    a = np.array(matrix, dtype=np.float64, copy=True)
+    a = np.asarray(matrix, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-10 * max(1.0, np.abs(a).max())):
         raise AnalysisError("jacobi_eigh expects a symmetric square matrix")
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    v = v[:, order]
-    for j in range(n):
-        pivot = np.argmax(np.abs(v[:, j]))
-        if v[pivot, j] < 0:
-            v[:, j] = -v[:, j]
-    return eigenvalues, v
+    eigenvalues, v = np.linalg.eigh(a)
+    order = np.argsort(-eigenvalues, kind="stable")
+    eigenvalues, v = eigenvalues[order], v[:, order]
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    return eigenvalues, v * np.where(pivots < 0, -1.0, 1.0)
 
 
 def pca_fit(m: FeatureMatrix) -> PcaModel:

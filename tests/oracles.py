@@ -184,7 +184,7 @@ def o_profile(obj, x0: float, dx: float, tpl, tag: str,
 
 # ---------------------------------------------------------------------------
 # Small symmetric eigenproblems by characteristic polynomial, for checking the
-# Jacobi solver.
+# eigensolver.
 
 def o_eigvals_2x2(a, b, d) -> tuple[float, float]:
     """Eigenvalues of [[a, b], [b, d]], descending."""

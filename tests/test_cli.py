@@ -191,7 +191,10 @@ def test_pca_end_to_end(tmp_path, capsys):
     pca_dir = tmp_path / "pca"
     code, out, err = _run(capsys, "pca", "--records", str(bench_dir / "records.csv"),
                           "--levels", "1", "--out-dir", str(pca_dir))
-    assert code == 0 and err == ""
+    # at level 1 all five realizations find the primary peak at the same x, so r_xp
+    # has no variance
+    assert code == 0
+    assert err == "warning: level 1: dropping zero-variance columns: ['r_xp'] (records.csv)\n"
     assert "variance_explained_top2=" in out
 
     proj_lines = (pca_dir / "pca_1.csv").read_text().splitlines()
@@ -221,6 +224,7 @@ def test_pca_missing_column_schema_error(tmp_path, capsys):
     "classic,1,0,1,2,x,4,5,6,1,1",            # non-numeric figure
     "classic,one,0,1,2,3,4,5,6,1,1",          # non-numeric level
     "\nclassic,1,0,1,2",                      # short row after a blank line
+    "classic,3,0,1,2",                        # short row at a level not asked for
 ])
 def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
     records = tmp_path / "records.csv"
@@ -233,6 +237,48 @@ def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
     assert "Traceback" not in err
     # blank lines are not data rows, so the bad row is the 2nd either way
     assert str(records) in err and "row 2" in err and repr(row.lstrip("\n")) in err
+
+
+def _write_records(path, levels, seed, r_xp=None):
+    """Four realizations of the three default PCA methods per level, random figures."""
+    rng = np.random.default_rng(seed)
+    lines = [",".join(RECORD_COLUMNS)]
+    for level in levels:
+        for r in range(4):
+            for method in ("classic", "jaccard_real", "coincidence"):
+                figures = rng.normal(size=6)
+                if r_xp is not None:
+                    figures[0] = r_xp
+                lines.append(f"{method},{level},{r},"
+                             + ",".join(format(v, ".9g") for v in figures) + ",1,1")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_pca_warnings_name_level_and_records_file(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    _write_records(records, (1,), seed=5, r_xp=0.25)
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert err == "warning: level 1: dropping zero-variance columns: ['r_xp'] (records.csv)\n"
+    assert out.startswith("level 1: n=12 variance_explained_top2=")
+    assert "dropped_columns,r_xp" in (tmp_path / "pca_meta_1.csv").read_text()
+
+
+def test_pca_parses_records_file_once(tmp_path, capsys, monkeypatch):
+    import mfcorr.pca as pca_mod
+
+    records = tmp_path / "records.csv"
+    _write_records(records, (1, 10, 20), seed=6)
+    calls = []
+    read_records = pca_mod.read_records
+    monkeypatch.setattr(pca_mod, "read_records",
+                        lambda path: calls.append(path) or read_records(path))
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1,10,20", "--out-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert calls == [str(records)]
+    assert out.count("n=12 ") == 3
 
 
 def test_pca_missing_records_file(tmp_path, capsys):

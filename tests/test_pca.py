@@ -1,4 +1,5 @@
-"""Principal component analysis: Jacobi eigensolver, fitting, projection, CSV loading."""
+"""Principal component analysis: the eigensolver (np.linalg.eigh behind jacobi_eigh),
+fitting, projection, and the two feature-matrix builders (records file, in-memory records)."""
 
 import math
 import warnings
@@ -10,6 +11,7 @@ from mfcorr import (
     AnalysisError,
     FeatureMatrix,
     PerformanceIndices,
+    SweepConfig,
     SweepRecord,
     feature_matrix_from_records,
     group_centroids,
@@ -18,6 +20,8 @@ from mfcorr import (
     load_feature_matrix,
     pca_fit,
     project,
+    run_sweep,
+    write_records_csv,
 )
 from mfcorr.metrics import INDEX_NAMES
 
@@ -286,6 +290,23 @@ def test_load_feature_matrix_not_enough_rows(tmp_path):
     _write_records_file(path, [["classic", 5, 0, 0.1, 1.1, 2.1, 3.1, 4.1, 5.1, 1, 1]])
     with pytest.raises(AnalysisError, match="level 5"):
         load_feature_matrix(path, level=5)
+
+
+def test_file_and_in_memory_records_give_the_same_matrix(tmp_path):
+    cfg = SweepConfig(methods=("classic", "jaccard_real", "coincidence"),
+                      levels=(2, 12), realizations=4, base_seed=3)
+    result = run_sweep(cfg)
+    result.records += [_record("classic", 12, 4, 0.5, complete=False),
+                       _record("coincidence", 12, 4, None)]
+    path = tmp_path / "records.csv"
+    write_records_csv(result, path)
+    for level in cfg.levels:
+        in_memory = feature_matrix_from_records(result.records, level)
+        from_file = load_feature_matrix(path, level)
+        assert from_file.labels == in_memory.labels
+        assert from_file.n_dropped == in_memory.n_dropped == (2 if level == 12 else 0)
+        assert ([[format(v, ".9g") for v in row] for row in from_file.values]
+                == [[format(v, ".9g") for v in row] for row in in_memory.values])
 
 
 # ---------------------------------------------------------------------------
