@@ -90,6 +90,10 @@ class SweepConfig:
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
         if not self.methods:
             raise DomainError("at least one method required")
+        for what, items in (("method", self.methods), ("noise level", self.levels)):
+            repeated = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeated:
+                raise DomainError(f"{what} {repeated[0]} given more than once")
         for v in self.levels:
             if not (0 <= v < N_NOISE_LEVELS):
                 raise DomainError(f"noise level {v} out of range 0..{N_NOISE_LEVELS - 1}")

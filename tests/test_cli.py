@@ -158,6 +158,20 @@ def test_bench_bad_levels(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("flag,value,repeated", [
+    ("--levels", "3,3", "noise level 3"),
+    ("--methods", "jaccard,jaccard_real", "method jaccard_real"),
+])
+def test_bench_repeated_levels_or_methods_rejected(tmp_path, capsys, flag, value, repeated):
+    argv = {"--levels": "3", "--methods": "classic", flag: value}
+    code, out, err = _run(capsys, "bench", "--realizations", "2",
+                          *(x for item in argv.items() for x in item),
+                          "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {repeated} given more than once\n"
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep settings\nhp = 3.0\nseed = 7\n")

@@ -72,6 +72,14 @@ def test_methods_canonicalized_in_config():
     assert cfg.methods == ("jaccard_real", "classic")
 
 
+def test_repeated_methods_or_levels_rejected():
+    # each (method, level) cell is one aggregate row; a repeat would double it
+    with pytest.raises(DomainError, match="noise level 3 given more than once"):
+        SweepConfig(methods=("classic",), levels=(3, 3), realizations=2)
+    with pytest.raises(DomainError, match="method jaccard_real given more than once"):
+        SweepConfig(methods=("jaccard", "jaccard_real"), levels=(0,), realizations=2)
+
+
 def test_exclusion_counting_synthetic():
     ok = PerformanceIndices(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3,
                             alpha_overlap=0.4)
