@@ -211,9 +211,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
-    realizations = args.realizations
-    if args.desk_scale:
-        realizations = 50
+    realizations = 50 if args.desk_scale else args.realizations
     methods = _parse_methods(args.methods) if args.methods else DEFAULT_METHODS
     try:
         cfg = SweepConfig(methods=methods, object_spec=spec,
@@ -234,8 +232,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     aggregates_path = out_dir / "aggregates.csv"
     write_records_csv(result, records_path)
     write_aggregates_csv(result, aggregates_path)
-    n_records = len(result.records)
-    print(f"wrote {records_path} ({n_records} records) and {aggregates_path}")
+    print(f"wrote {records_path} ({len(result.records)} records) and {aggregates_path}")
     return 0
 
 

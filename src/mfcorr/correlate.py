@@ -11,6 +11,7 @@ signal padded with zeros.
 Lag convention: the reported abscissa of each lag is the position of the
 template's support midpoint on the object axis, so a symmetric template peaks
 at the matched feature's position.  The template's own x0 plays no role.
+Every profile comes from profiles(), for R stacked objects at once.
 """
 
 from __future__ import annotations
@@ -22,20 +23,16 @@ import numpy as np
 
 from . import kernels
 from .indices import EPS_DENOM, profile_values
-from .signal import AlignmentError, DomainError, Signal, grids_compatible
+from .signal import AlignmentError, DomainError, Signal, same_spacing
 
-METHOD_TAGS = (
-    "classic",
-    "jaccard_real",
-    "interiority",
-    "coincidence",
-    "jaccard_addition",
-    "coincidence_addition",
-)
+METHOD_TAGS = ("classic", "jaccard_real", "interiority", "coincidence",
+               "jaccard_addition", "coincidence_addition")
 
 MULTISET_TAGS = tuple(t for t in METHOD_TAGS if t != "classic")
 
 BOUNDARIES = ("pad", "valid")
+
+COMBINED_PREFIX = "combined_"
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,7 @@ class CorrelationResult:
 
     @property
     def dx(self) -> float:
-        if self.lags.size < 2:
-            return 0.0
-        return float(self.lags[1] - self.lags[0])
+        return float(self.lags[1] - self.lags[0]) if self.lags.size > 1 else 0.0
 
     def normalized(self) -> "CorrelationResult":
         """Profile divided by its maximum absolute value (a peak below EPS_DENOM passes as is)."""
@@ -91,6 +86,45 @@ def _lag_geometry(n: int, m: int, boundary: str) -> tuple[int, int, float]:
     raise DomainError(f"unknown boundary policy {boundary!r}; expected one of {BOUNDARIES}")
 
 
+def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
+             names, boundary: str = "pad"):
+    """Yield (name, Method, lags, values[R, n_lags]) per name for the R rows of samples.
+
+    The rows share one grid (x0, dx).  A name is a tag or COMBINED_PREFIX + a
+    multiset tag.  One kernel call serves the plain names and the combined
+    ones' first stage, a second their second stage; plain names come first.
+    """
+    inner = {n.removeprefix(COMBINED_PREFIX): n for n in names if n.startswith(COMBINED_PREFIX)}
+    if "classic" in inner:
+        raise DomainError("combined method requires a multiset inner method, not classic")
+    if not same_spacing(dx, template.dx):
+        raise AlignmentError(f"dx mismatch: object {dx} vs template {template.dx}")
+    samples = np.atleast_2d(samples)
+    k0, n_lags, center = _lag_geometry(samples.shape[1], len(template), boundary)
+    lags = x0 + (k0 + np.arange(n_lags) + center) * dx
+    sums = kernels.sliding_sums(samples, template.samples, k0, n_lags)
+    for name in names:
+        if not name.startswith(COMBINED_PREFIX):
+            yield name, Method(name), lags, profile_values(name, *sums, dx)
+    if inner:
+        # stage 2 slides the template over each row's max-normalized classic profile
+        stage1 = profile_values("classic", *sums, dx)
+        del sums
+        peak = np.max(np.abs(stage1), axis=1, keepdims=True)
+        stage1 /= np.where(peak < EPS_DENOM, 1.0, peak)
+        for tag, method, lags2, values in profiles(stage1, float(lags[0]), dx, template,
+                                                   inner, boundary):
+            yield inner[tag], method, lags2, values
+
+
+def method_profile(name: str, obj: Signal, template: Signal,
+                   boundary: str = "pad") -> CorrelationResult:
+    """Profile for a canonical method name, handling the combined two-stage form."""
+    _, method, lags, values = next(profiles(obj.samples, obj.x0, obj.dx, template, (name,),
+                                            boundary))
+    return CorrelationResult(lags, values[0], method, boundary)
+
+
 def correlate(obj: Signal, template: Signal, method: Method,
               boundary: str = "pad") -> CorrelationResult:
     """Evaluate one similarity method at every relative displacement.
@@ -99,14 +133,7 @@ def correlate(obj: Signal, template: Signal, method: Method,
     boundary="valid" only full-overlap displacements are evaluated (template
     must then fit inside the object).
     """
-    if not grids_compatible(obj, template):
-        raise AlignmentError(f"dx mismatch: object {obj.dx} vs template {template.dx}")
-    n, m = len(obj), len(template)
-    k0, n_lags, center = _lag_geometry(n, m, boundary)
-    sums, abs_total, sum_total = kernels.sliding_sums(obj.samples, template.samples, k0, n_lags)
-    values = profile_values(method.tag, sums, abs_total, sum_total, obj.dx)
-    lags = obj.x0 + (k0 + np.arange(n_lags) + center) * obj.dx
-    return CorrelationResult(lags, values, method, boundary)
+    return method_profile(method.tag, obj, template, boundary)
 
 
 def correlate_classic(obj: Signal, template: Signal, boundary: str = "pad") -> CorrelationResult:
@@ -123,8 +150,4 @@ def correlate_combined(obj: Signal, template: Signal, inner_method: Method,
     both stages.  Because lag abscissae are template-midpoint positions, the
     final profile stays indexed in the original object coordinates.
     """
-    if inner_method.tag == "classic":
-        raise DomainError("combined method requires a multiset inner method, not classic")
-    stage1 = correlate_classic(obj, template, boundary).normalized()
-    stage2_obj = Signal(stage1.values, x0=float(stage1.lags[0]), dx=obj.dx)
-    return correlate(stage2_obj, template, inner_method, boundary)
+    return method_profile(COMBINED_PREFIX + inner_method.tag, obj, template, boundary)

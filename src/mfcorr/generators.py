@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +112,7 @@ def gen_template(spec: TemplateSpec, dx: float) -> Signal:
         raise DomainError(f"template width {spec.width} must be at least 2*dx={2 * dx}")
     j = np.arange(steps + 1)
     samples = spec.amplitude * np.sin(np.pi * j / steps)
-    samples[0] = 0.0
-    samples[-1] = 0.0
+    samples[[0, -1]] = 0.0
     return Signal(samples, x0=0.0, dx=dx)
 
 

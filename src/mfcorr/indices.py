@@ -44,33 +44,31 @@ def multiset_jaccard(a: Multiset, b: Multiset) -> float:
 
 
 def signed_min_intersection(f: Signal, g: Signal) -> float:
-    """Sign-aware pointwise-minimum overlap integral of two signals."""
-    require_aligned(f, g)
-    # sign(f)*sign(g)*min(|f|, |g|); samples where either value is 0 contribute 0
-    fs, gs = f.samples, g.samples
-    return f.dx * float(np.sum(np.sign(fs) * np.sign(gs) * np.minimum(np.abs(fs), np.abs(gs))))
+    """Sign-aware pointwise-minimum overlap integral; samples where either is 0 add 0."""
+    return float(_integrals(f, g)[kernels.SM])
 
 
 def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
-    require_aligned(f, g)
-    return f.dx * float(np.sum(np.maximum(np.abs(f.samples), np.abs(g.samples))))
+    return float(_integrals(f, g)[kernels.MX])
 
 
 def s_plus(f: Signal, g: Signal) -> float:
     """Overlap integral restricted to samples where the two signals agree in sign."""
-    require_aligned(f, g)
-    sf, sg = np.sign(f.samples), np.sign(g.samples)
-    terms = np.abs(sf + sg) / 2.0 * np.minimum(np.abs(f.samples), np.abs(g.samples))
-    return f.dx * float(np.sum(terms))
+    integrals = _integrals(f, g)   # the unsigned overlap is s_plus + s_minus
+    return float(0.5 * (integrals[kernels.UM] + integrals[kernels.SM]))
 
 
 def s_minus(f: Signal, g: Signal) -> float:
     """Overlap integral restricted to samples where the two signals oppose in sign."""
+    integrals = _integrals(f, g)   # the signed overlap is s_plus - s_minus
+    return float(0.5 * (integrals[kernels.UM] - integrals[kernels.SM]))
+
+
+def _integrals(f: Signal, g: Signal) -> np.ndarray:
+    """dx times the seven sums of kernels.aligned_sums for an aligned pair."""
     require_aligned(f, g)
-    sf, sg = np.sign(f.samples), np.sign(g.samples)
-    terms = np.abs(sf - sg) / 2.0 * np.minimum(np.abs(f.samples), np.abs(g.samples))
-    return f.dx * float(np.sum(terms))
+    return f.dx * kernels.aligned_sums(f.samples, g.samples)[0]
 
 
 def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> float:
@@ -90,16 +88,17 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def profile_values(tag: str, sums: np.ndarray, abs_total: float, sum_total: float,
-                   dx: float) -> np.ndarray:
-    """One index value per lag from the object/template window sums of kernels.sliding_sums."""
+def profile_values(tag: str, sums: np.ndarray, abs_total: float | np.ndarray,
+                   sum_total: float | np.ndarray, dx: float) -> np.ndarray:
+    """Index values per lag from kernels.sliding_sums output, one row per object of a stack."""
     if tag == "classic":
-        return dx * sums[:, kernels.DOT]
+        return dx * sums[..., kernels.DOT]
 
-    sm = dx * sums[:, kernels.SM]
+    abs_total = np.asarray(abs_total)[..., None]
+    sm = dx * sums[..., kernels.SM]
 
     if tag in ("jaccard_real", "coincidence"):
-        union = dx * (sums[:, kernels.MX] + (abs_total - sums[:, kernels.AFW]))
+        union = dx * (sums[..., kernels.MX] + (abs_total - sums[..., kernels.AFW]))
         jac = _guarded_ratio(sm, union)
         if tag == "jaccard_real":
             return jac
@@ -109,7 +108,7 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: float, sum_total: floa
         return _interiority_values(sums, abs_total, dx)
 
     if tag in ("jaccard_addition", "coincidence_addition"):
-        den = dx * (sum_total + sums[:, kernels.SGW])
+        den = dx * (np.asarray(sum_total)[..., None] + sums[..., kernels.SGW])
         jac = _guarded_ratio(2.0 * sm, den, signed_den=True)
         if tag == "jaccard_addition":
             return jac
@@ -119,14 +118,14 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: float, sum_total: floa
 
 
 def _interiority_values(sums: np.ndarray, abs_total: float, dx: float) -> np.ndarray:
-    num = dx * sums[:, kernels.UM]
-    den = dx * np.minimum(abs_total, sums[:, kernels.AGW])
+    num = dx * sums[..., kernels.UM]
+    den = dx * np.minimum(abs_total, sums[..., kernels.AGW])
     return np.clip(_guarded_ratio(num, den), 0.0, 1.0)
 
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
-    sums = kernels.window_sums(f.samples[None, :], g.samples[None, :])
+    sums = kernels.aligned_sums(f.samples, g.samples)
     return float(profile_values(tag, sums, sums[0, kernels.AFW], float(np.sum(f.samples)),
                                 f.dx)[0])
 

@@ -86,10 +86,6 @@ def _flat_run(values: np.ndarray, k: int) -> tuple[int, int]:
     return a, b
 
 
-def _run_midpoint(lags: np.ndarray, a: int, b: int) -> float:
-    return float(0.5 * (lags[a] + lags[b]))
-
-
 def detect_peaks(profile: CorrelationResult, object_spec: ObjectSpec) -> PeakMeasurement:
     """Find the global maximum and the best-separated secondary local maximum.
 
@@ -108,7 +104,7 @@ def detect_peaks(profile: CorrelationResult, object_spec: ObjectSpec) -> PeakMea
     a1, b1 = _flat_run(values, i1)
     if a1 == 0 and b1 == values.size - 1:
         raise DomainError("profile is constant; peak detection undefined")
-    x1 = _run_midpoint(lags, a1, b1)
+    x1 = float(0.5 * (lags[a1] + lags[b1]))
     h1 = float(values[i1])
     w1 = width_at_fraction(lags, values, i1)
 
@@ -118,7 +114,7 @@ def detect_peaks(profile: CorrelationResult, object_spec: ObjectSpec) -> PeakMea
     best = None
     for k in candidates:
         a, b = _flat_run(values, int(k))
-        xk = _run_midpoint(lags, a, b)
+        xk = float(0.5 * (lags[a] + lags[b]))
         if abs(xk - x1) <= exclusion:
             continue
         if best is None or values[k] > values[best[0]]:

@@ -77,15 +77,15 @@ class Multiset:
         return self.multiplicities.size
 
 
-def grids_compatible(f: Signal, g: Signal) -> bool:
-    return math.isclose(f.dx, g.dx, rel_tol=REL_TOL, abs_tol=0.0)
+def same_spacing(dx_f: float, dx_g: float) -> bool:
+    return math.isclose(dx_f, dx_g, rel_tol=REL_TOL, abs_tol=0.0)
 
 
 def require_aligned(f: Signal, g: Signal) -> None:
     """Binary functionals need both signals on the identical grid."""
     if len(f) != len(g):
         raise AlignmentError(f"length mismatch: {len(f)} vs {len(g)}")
-    if not grids_compatible(f, g):
+    if not same_spacing(f.dx, g.dx):
         raise AlignmentError(f"dx mismatch: {f.dx} vs {g.dx}")
     if not math.isclose(f.x0, g.x0, rel_tol=REL_TOL, abs_tol=REL_TOL * f.dx):
         raise AlignmentError(f"x0 mismatch: {f.x0} vs {g.x0}")

@@ -1,44 +1,34 @@
 """Monte-Carlo noise sweep: run methods over noise levels, aggregate merit figures.
 
 Within one (level, realization) cell every method sees the identical noisy
-object, so cross-method comparisons are paired.  The whole sweep is a pure
-function of its configuration; cells are independent work units and execution
-order never changes the output.
+object, so cross-method comparisons are paired.  A noise level is the batch:
+its realizations are stacked and profiled together, with one kernel call for
+the plain methods and the combined methods' first stage and one for their
+second stage, while peak detection and the merit figures run per cell.  Cells
+stay independent in their results: a record equals what method_profile and
+the per-cell steps give for that cell alone, so the whole sweep is a pure
+function of its configuration.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlate import (
-    BOUNDARIES,
-    METHOD_TAGS,
-    MULTISET_TAGS,
-    CorrelationResult,
-    Method,
-    correlate,
-    correlate_combined,
-)
-from .generators import (
-    N_NOISE_LEVELS,
-    NoiseSpec,
-    ObjectSpec,
-    TemplateSpec,
-    add_noise,
-    gen_object,
-    gen_template,
-)
+# method_profile is imported to stay public as mfcorr.sweep.method_profile too
+from .correlate import (BOUNDARIES, COMBINED_PREFIX, METHOD_TAGS, MULTISET_TAGS,  # noqa: F401
+                        CorrelationResult, method_profile, profiles)
+from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, add_noise,
+                         gen_object, gen_template)
 from .indices import EPS_DENOM
 from .metrics import INDEX_NAMES, PerformanceIndices, compute_indices
 from .peaks import detect_peaks
-from .signal import DomainError, Signal
+from .signal import DomainError
 
 DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coincidence")
-
-COMBINED_PREFIX = "combined_"
 
 _ALIASES = {
     "jaccard": "jaccard_real",
@@ -62,15 +52,6 @@ def canonical_method(name: str) -> str:
     if combined and base not in MULTISET_TAGS:
         raise DomainError("combined methods need a multiset inner method, not classic")
     return COMBINED_PREFIX + base if combined else base
-
-
-def method_profile(name: str, obj: Signal, template: Signal,
-                   boundary: str = "pad") -> CorrelationResult:
-    """Profile for a canonical method name, handling the combined two-stage form."""
-    if name.startswith(COMBINED_PREFIX):
-        inner = Method(name[len(COMBINED_PREFIX):])
-        return correlate_combined(obj, template, inner, boundary)
-    return correlate(obj, template, Method(name), boundary)
 
 
 @dataclass(frozen=True)
@@ -119,9 +100,7 @@ class SweepRecord:
         return self.indices is not None and self.indices.r_h is not None
 
     def index_value(self, name: str) -> float | None:
-        if self.indices is None:
-            return None
-        return getattr(self.indices, name)
+        return None if self.indices is None else getattr(self.indices, name)
 
 
 @dataclass(frozen=True)
@@ -146,8 +125,7 @@ class SweepResult:
 def _aggregate_cell(records: list[SweepRecord]) -> dict[str, Aggregate]:
     out: dict[str, Aggregate] = {}
     for name in INDEX_NAMES:
-        values = [r.index_value(name) for r in records]
-        values = [v for v in values if v is not None]
+        values = [v for v in (r.index_value(name) for r in records) if v is not None]
         if not values:
             out[name] = Aggregate(math.nan, math.nan, 0)
             continue
@@ -171,24 +149,27 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
     records: list[SweepRecord] = []
     for level in cfg.levels:
-        for realization in range(cfg.realizations):
-            noise = NoiseSpec(level=level, seed=cfg.base_seed, realization=realization,
-                              multiplier=cfg.noise_multiplier)
-            noisy = add_noise(clean, noise)
-            for name in cfg.methods:
-                records.append(_run_cell(name, noisy, template, cfg, level, realization))
+        noisy = np.stack([
+            add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
+            for r in range(cfg.realizations)])
+        # cells[r][i]: the record of realization r under cfg.methods[i]
+        cells = [[None] * len(cfg.methods) for _ in range(cfg.realizations)]
+        for name, method, lags, values in profiles(noisy, clean.x0, clean.dx, template,
+                                                   cfg.methods, cfg.boundary):
+            i = cfg.methods.index(name)
+            for r, row in enumerate(values):
+                profile = CorrelationResult(lags, row, method, cfg.boundary).normalized()
+                cells[r][i] = SweepRecord(name, level, r, _cell_indices(profile, cfg))
+        records.extend(rec for cell in cells for rec in cell)
     return SweepResult(cfg, records, aggregate_records(records))
 
 
-def _run_cell(name: str, noisy: Signal, template: Signal, cfg: SweepConfig,
-              level: int, realization: int) -> SweepRecord:
-    profile = method_profile(name, noisy, template, cfg.boundary).normalized()
+def _cell_indices(profile: CorrelationResult, cfg: SweepConfig) -> PerformanceIndices | None:
     try:
         pm = detect_peaks(profile, cfg.object_spec)
-        indices = compute_indices(pm, cfg.object_spec, profile)
+        return compute_indices(pm, cfg.object_spec, profile)
     except DomainError:
-        indices = None
-    return SweepRecord(name, level, realization, indices)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +230,7 @@ def aggregate_columns() -> list[str]:
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
-    cell_sizes: dict[tuple[str, int], int] = {}
-    for rec in result.records:
-        key = (rec.method, rec.level)
-        cell_sizes[key] = cell_sizes.get(key, 0) + 1
+    cell_sizes = Counter((rec.method, rec.level) for rec in result.records)
     rows = []
     for level in result.config.levels:
         for method in result.config.methods:

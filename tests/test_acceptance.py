@@ -1,8 +1,10 @@
-"""Acceptance suite: nine numbered criteria, one test (and one -v line) each.
+"""Acceptance suite: nine numbered criteria, one test each.
 
-`pytest tests/test_acceptance.py -v` prints exactly one PASSED/FAILED line per
-criterion; each test also prints its measured numbers (visible with -s, and in
-the failure report otherwise).
+Criteria 5, 6 and 8 have a second test, `..._paper_scale`, that runs them on
+the paper's 300 realizations instead of the desk-scale 50.  `pytest
+tests/test_acceptance.py -v` prints one PASSED/FAILED line per test; each
+test also prints its measured numbers (visible with -s, and in the failure
+report otherwise).
 """
 
 import time
@@ -57,27 +59,35 @@ def _report(num, detail):
 # Shared desk-scale sweeps (module scope so each runs once)
 
 
+def _timed_sweep(realizations, levels=tuple(range(21)), noise_multiplier=1.0):
+    t0 = time.perf_counter()
+    cfg = SweepConfig(methods=("classic", "jaccard_real", "coincidence"),
+                      object_spec=SPEC, template_spec=TEMPLATE, levels=levels,
+                      realizations=realizations, base_seed=0,
+                      noise_multiplier=noise_multiplier)
+    return run_sweep(cfg), time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def desk_sweep():
-    t0 = time.perf_counter()
-    cfg = SweepConfig(methods=("classic", "jaccard_real", "coincidence"),
-                      object_spec=SPEC, template_spec=TEMPLATE,
-                      levels=tuple(range(21)), realizations=50, base_seed=0)
-    result = run_sweep(cfg)
-    return result, time.perf_counter() - t0
+    return _timed_sweep(50)
 
 
 @pytest.fixture(scope="module")
+def paper_sweep():
+    return _timed_sweep(300)
+
+
+# Noise amplitude regime chosen so the per-level feature clouds match the
+# reported projection properties; see the repository decision log.
+@pytest.fixture(scope="module")
 def pca_sweep():
-    # Noise amplitude regime chosen so the per-level feature clouds match the
-    # reported projection properties; see the repository decision log.
-    t0 = time.perf_counter()
-    cfg = SweepConfig(methods=("classic", "jaccard_real", "coincidence"),
-                      object_spec=SPEC, template_spec=TEMPLATE,
-                      levels=(1, 10, 20), realizations=50, base_seed=0,
-                      noise_multiplier=1.25)
-    result = run_sweep(cfg)
-    return result, time.perf_counter() - t0
+    return _timed_sweep(50, levels=(1, 10, 20), noise_multiplier=1.25)
+
+
+@pytest.fixture(scope="module")
+def paper_pca_sweep():
+    return _timed_sweep(300, levels=(1, 10, 20), noise_multiplier=1.25)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +209,8 @@ def test_criterion_4_gaussian_width():
     _report(4, f"measured {got:.4f} vs analytic {want:.4f}")
 
 
-def test_criterion_5_coincidence_jaccard_gap(desk_sweep):
-    result, sweep_time = desk_sweep
+def _criterion_5(sweep, scale=""):
+    result, sweep_time = sweep
     t0 = time.perf_counter()
     gaps = {}
     for v in range(21):
@@ -215,18 +225,34 @@ def test_criterion_5_coincidence_jaccard_gap(desk_sweep):
     elapsed = sweep_time + time.perf_counter() - t0
     assert elapsed < 300.0, f"criterion 5 took {elapsed:.1f}s (limit 300s)"
     _report(5, f"coincidence above jaccard at all 21 levels; gap {gaps[0]:.2f} "
-               f"(v=0) -> {gaps[20]:.2f} (v=20); {elapsed:.1f}s incl. sweep")
+               f"(v=0) -> {gaps[20]:.2f} (v=20); {elapsed:.1f}s incl. sweep{scale}")
 
 
-def test_criterion_6_classic_rwp_flatness(desk_sweep):
-    result, _ = desk_sweep
+def _criterion_6(sweep, scale=""):
+    result, _ = sweep
     means = [result.aggregate("classic", v, "r_wp").mean for v in range(21)]
     spread = max(means) - min(means)
     overall = float(np.mean(means))
     assert spread < 0.20 * overall, (
         f"classic r_wp range {spread:.4f} >= 20% of mean {overall:.4f}")
     _report(6, f"classic r_wp range {spread:.4f} = "
-               f"{100 * spread / overall:.1f}% of mean {overall:.4f}")
+               f"{100 * spread / overall:.1f}% of mean {overall:.4f}{scale}")
+
+
+def test_criterion_5_coincidence_jaccard_gap(desk_sweep):
+    _criterion_5(desk_sweep)
+
+
+def test_criterion_5_coincidence_jaccard_gap_paper_scale(paper_sweep):
+    _criterion_5(paper_sweep, "; 300 realizations")
+
+
+def test_criterion_6_classic_rwp_flatness(desk_sweep):
+    _criterion_6(desk_sweep)
+
+
+def test_criterion_6_classic_rwp_flatness_paper_scale(paper_sweep):
+    _criterion_6(paper_sweep, "; 300 realizations")
 
 
 def test_criterion_7_combined_crossover():
@@ -250,8 +276,8 @@ def test_criterion_7_combined_crossover():
                f"{elapsed:.1f}s")
 
 
-def test_criterion_8_pca_reproduction(pca_sweep):
-    result, sweep_time = pca_sweep
+def _criterion_8(sweep, scale=""):
+    result, sweep_time = sweep
     t0 = time.perf_counter()
     details = []
     disp_by_level = {}
@@ -281,7 +307,15 @@ def test_criterion_8_pca_reproduction(pca_sweep):
     assert elapsed < 300.0, f"criterion 8 took {elapsed:.1f}s (limit 300s)"
     _report(8, "; ".join(details)
                + f"; v20 disp coin {d20['coincidence']:.2f} > "
-                 f"classic {d20['classic']:.2f}; {elapsed:.1f}s incl. sweep")
+                 f"classic {d20['classic']:.2f}; {elapsed:.1f}s incl. sweep{scale}")
+
+
+def test_criterion_8_pca_reproduction(pca_sweep):
+    _criterion_8(pca_sweep)
+
+
+def test_criterion_8_pca_reproduction_paper_scale(paper_pca_sweep):
+    _criterion_8(paper_pca_sweep, "; 300 realizations")
 
 
 def test_criterion_9_bench_determinism(tmp_path_factory, capsys):

@@ -1,9 +1,14 @@
-"""Fused sliding-sum kernel: naive-loop agreement and window-edge handling."""
+"""Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles as orc
+from mfcorr.correlate import METHOD_TAGS
+from mfcorr.indices import profile_values
 from mfcorr.kernels import AFW, AGW, DOT, MX, N_SUMS, SGW, SM, UM, sliding_sums
 
 
@@ -77,3 +82,65 @@ def test_zero_lag_window_equals_head():
     for k in range(6):
         assert sums[k, AFW] == pytest.approx(np.sum(f[k:k + 3]))
         assert sums[k, DOT] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
+
+
+def _long_object(offset, rng):
+    """16,000 samples on a DC offset: Gaussian bumps plus uniform noise."""
+    x = 0.01 * np.arange(16_000)
+    f = np.full(x.size, offset) + 0.5 * (rng.random(x.size) - 0.5)
+    for c in rng.uniform(0.0, x[-1], 5):
+        f += 2.0 * np.exp(-((x - c) ** 2) / (2 * 0.3 ** 2))
+    return f
+
+
+@pytest.mark.parametrize("offset", [100.0, 1e4])
+def test_long_signal_with_offset_matches_naive(offset):
+    # AFW and MX are sums of |f| over the window, ~121*offset here: a prefix-sum
+    # difference over 16,000 samples would lose their last digits to cancellation
+    rng = np.random.default_rng(int(offset))
+    f = _long_object(offset, rng)
+    g = 2.0 * np.sin(np.pi * np.arange(121) / 120)
+    n, m, dx = f.size, g.size, 0.01
+    k0 = -((m - 1) // 2)
+    sums, abs_total, sum_total = sliding_sums(f, g, k0, n)
+    lags = sorted({0, 1, 59, 60, n - 61, n - 60, n - 1, *rng.integers(0, n, 8).tolist()})
+    want = np.concatenate([naive_sums(f, g, k0 + k, 1) for k in lags])
+    np.testing.assert_allclose(sums[lags], want, rtol=1e-14, atol=0)
+    want_totals = orc.o_abs_area(f, 1.0), float(sum(f.tolist()))
+    for tag in METHOD_TAGS:
+        got = profile_values(tag, sums[lags], abs_total, sum_total, dx)
+        ref = profile_values(tag, want, *want_totals, dx)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale, err_msg=tag)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A stack of objects, a template, and a lag range: pad, valid or arbitrary."""
+    rows, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 24)), draw(st.integers(1, 30))
+    geometry = draw(st.sampled_from(("pad", "valid", "any")))
+    if geometry == "valid":
+        m = min(m, n)
+        k0, n_lags = 0, n - m + 1
+    elif geometry == "pad":
+        k0, n_lags = -((m - 1) // 2), n
+    else:
+        k0, n_lags = draw(st.integers(-m - 3, n + 3)), draw(st.integers(1, n + m + 3))
+    values = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
+    f = draw(hnp.arrays(np.float64, (rows, n), elements=values))
+    g = draw(hnp.arrays(np.float64, m, elements=values))
+    return f, g, k0, n_lags
+
+
+@given(stacked_cases())
+@example((np.arange(10.0).reshape(2, 5) - 4.0, np.linspace(-3.0, 3.0, 9), -4, 5))  # m > n
+@example((np.linspace(-2.0, 2.0, 24).reshape(1, 24), np.ones(6), -20, 24))  # off-grid left
+@settings(max_examples=300, deadline=None)
+def test_stack_rows_equal_single_calls(case):
+    f, g, k0, n_lags = case
+    sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
+    assert sums.shape == (f.shape[0], n_lags, N_SUMS)
+    for r, row in enumerate(f):
+        one, one_abs, one_sum = sliding_sums(row, g, k0, n_lags)
+        assert sums[r].tobytes() == one.tobytes()
+        assert abs_total[r] == one_abs and sum_total[r] == one_sum

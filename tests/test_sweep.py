@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mfcorr import (DomainError, NoiseSpec, ObjectSpec, PerformanceIndices,
-                    SweepConfig, SweepRecord, TemplateSpec, add_noise,
-                    canonical_method, gen_object, run_sweep,
+from mfcorr import (BOUNDARIES, DomainError, NoiseSpec, ObjectSpec,
+                    PerformanceIndices, SweepConfig, SweepRecord, TemplateSpec,
+                    add_noise, canonical_method, compute_indices, detect_peaks,
+                    gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
+from mfcorr.correlate import METHOD_TAGS
 from mfcorr.sweep import RECORD_COLUMNS, aggregate_columns, aggregate_records
 
 SMALL = SweepConfig(methods=("classic", "coincidence"), levels=(0, 4),
@@ -46,6 +48,30 @@ def test_sweep_determinism():
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_sweep_records_equal_per_cell_path(boundary):
+    # the sweep profiles a whole level at once; each record must still be the
+    # one a single cell gives on its own
+    methods = METHOD_TAGS + ("combined_coincidence", "combined_jaccard_addition")
+    cfg = SweepConfig(methods=methods, levels=(0, 10, 20), realizations=3,
+                      base_seed=5, boundary=boundary)
+    clean = gen_object(cfg.object_spec)
+    template = gen_template(cfg.template_spec, clean.dx)
+    want = []
+    for level in cfg.levels:
+        for realization in range(cfg.realizations):
+            noisy = add_noise(clean, NoiseSpec(level, cfg.base_seed, realization))
+            for name in methods:
+                profile = method_profile(name, noisy, template, boundary).normalized()
+                try:
+                    indices = compute_indices(detect_peaks(profile, cfg.object_spec),
+                                              cfg.object_spec, profile)
+                except DomainError:
+                    indices = None
+                want.append(SweepRecord(name, level, realization, indices))
+    assert run_sweep(cfg).records == want
 
 
 def test_noise_shared_across_methods():
