@@ -20,16 +20,21 @@ from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, canonical_method,
                     method_profile, run_sweep, write_aggregates_csv, write_csv,
                     write_records_csv)
 
-_FLOAT_KEYS = {"hp", "hs", "sigma_p", "sigma_s", "xp", "xs", "grid_start",
-               "grid_end", "template_width", "template_amplitude",
-               "noise_multiplier"}
-_INT_KEYS = {"grid_n", "seed", "noise_level", "realization", "realizations",
-             "threads"}
-_STR_KEYS = {"boundary", "methods", "levels"}
+_CONFIG_KEYS = {"hp", "hs", "sigma_p", "sigma_s", "xp", "xs", "grid_start", "grid_end",
+                "grid_n", "template_width", "template_amplitude", "noise_multiplier",
+                "seed", "noise_level", "realization", "realizations", "threads",
+                "boundary", "methods", "levels"}
 
 
 class CliError(Exception):
     """User-facing failure; printed as a single line and exits nonzero."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or value as a CliError, not as usage text and exit code 2."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -47,31 +52,28 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+        if key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value.strip()
     return out
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill args from the config file wherever the command line kept the default."""
-    if not args.config:
-        return
-    cfg = _parse_config_file(args.config)
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) != args.subparser.get_default(key):
-            continue  # explicit flag wins over the file
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse the command line; a --config file's values stand in for the defaults.
+
+    The file is read after a first parse and its values become the subcommand's
+    defaults for a second one, so a flag given on the command line always wins,
+    even when it repeats the built-in default.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args.subparser.set_defaults(**_parse_config_file(args.config))
         try:
-            if key in _FLOAT_KEYS:
-                setattr(args, key, float(raw))
-            elif key in _INT_KEYS:
-                setattr(args, key, int(raw))
-            else:
-                setattr(args, key, raw)
-        except ValueError as exc:
-            raise CliError(f"config key {key}: {exc}") from exc
+            args = parser.parse_args(argv)
+        except CliError as exc:  # the command line parsed once, so the file is at fault
+            raise CliError(f"config file {args.config}: {exc}") from None
+    return args
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -302,7 +304,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfcorr",
         description="Similarity-based template matching for 1-D signals.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        args = _parse_args(argv)
         return args.func(args)
     except (CliError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

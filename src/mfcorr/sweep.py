@@ -130,8 +130,9 @@ def _aggregate_cell(records: list[SweepRecord]) -> dict[str, Aggregate]:
             out[name] = Aggregate(math.nan, math.nan, 0)
             continue
         arr = np.asarray(values)
-        # a single retained value has no sample spread; report 0 rather than NaN
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        # equal values (one alone included) have no spread; report 0, not NaN
+        # or the rounding of a mean that misses the value by an ulp
+        std = float(np.std(arr, ddof=1)) if np.any(arr != arr[0]) else 0.0
         out[name] = Aggregate(float(np.mean(arr)), std, arr.size)
     return out
 

@@ -183,6 +183,78 @@ def o_profile(obj, x0: float, dx: float, tpl, tag: str,
 
 
 # ---------------------------------------------------------------------------
+# Peak detection, walking the profile one sample at a time.  Neighbours tie
+# when they differ by at most 1e-12*max(1, |h1|); a tie run is a chain of ties.
+
+def _ieee_div(num: float, den: float) -> float:
+    """num / den giving +-inf or nan for a zero den, as float64 division does."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or num != num:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def o_width(lags, values, peak: int, fraction: float = 0.75) -> float:
+    level = fraction * values[peak]
+    n = len(values)
+    a = peak
+    while a > 0 and values[a - 1] >= level:
+        a -= 1
+    if a == 0:
+        left = lags[0]
+    else:
+        left = lags[a - 1] + _ieee_div((lags[a] - lags[a - 1]) * (level - values[a - 1]),
+                                       values[a] - values[a - 1])
+    b = peak
+    while b < n - 1 and values[b + 1] >= level:
+        b += 1
+    if b == n - 1:
+        right = lags[n - 1]
+    else:
+        right = lags[b] + _ieee_div((lags[b + 1] - lags[b]) * (level - values[b]),
+                                    values[b + 1] - values[b])
+    return right - left
+
+
+def o_detect_peaks(lags, values, exclusion: float):
+    """(x1, h1, w1, x2, h2, w2), the secondary three None when absent; None if constant."""
+    n = len(values)
+    i1 = 0
+    for i in range(n):
+        if values[i] > values[i1]:
+            i1 = i
+    tol = 1e-12 * max(1.0, abs(values[i1]))
+
+    def run(k):
+        a = k
+        while a > 0 and abs(values[a] - values[a - 1]) <= tol:
+            a -= 1
+        b = k
+        while b < n - 1 and abs(values[b + 1] - values[b]) <= tol:
+            b += 1
+        return a, b
+
+    a, b = run(i1)
+    if a == 0 and b == n - 1:
+        return None
+    x1 = 0.5 * (lags[a] + lags[b])
+    best = None
+    for k in range(1, n - 1):
+        if not (values[k] > values[k - 1] and values[k] >= values[k + 1] and values[k] > 0):
+            continue
+        a, b = run(k)
+        xk = 0.5 * (lags[a] + lags[b])
+        if abs(xk - x1) > exclusion and (best is None or values[k] > values[best[0]]):
+            best = (k, xk)
+    primary = (x1, values[i1], o_width(lags, values, i1))
+    if best is None:
+        return primary + (None, None, None)
+    k, xk = best
+    return primary + (xk, values[k], o_width(lags, values, k))
+
+
+# ---------------------------------------------------------------------------
 # Small symmetric eigenproblems by characteristic polynomial, for checking the
 # eigensolver.
 

@@ -184,6 +184,46 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
     assert "seed=7" in header    # file fills the untouched default
 
 
+def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    code, _, _ = _run(capsys, "bench", "--levels", "0", "--realizations", "1",
+                      "--methods", "classic", "--seed", "0", "--config", str(cfg),
+                      "--out-dir", str(tmp_path))
+    assert code == 0
+    assert " seed=0 " in (tmp_path / "records.csv").read_text().splitlines()[0]
+
+
+def test_config_file_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("realizations = many\n")
+    code, out, err = _run(capsys, "bench", "--levels", "0", "--config", str(cfg),
+                          "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == (f"error: config file {cfg}: argument --realizations:"
+                   " invalid int value: 'many'\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bench", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["bench", "--realizations", "x"], "argument --realizations: invalid int value: 'x'"),
+    (["bench", "--boundary", "wrap"], "argument --boundary: invalid choice: 'wrap'"),
+    (["pca"], "the following arguments are required: --records"),
+    ([], "the following arguments are required: command"),
+])
+def test_bad_flag_is_one_error_line(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert "--realizations" in capsys.readouterr().out
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("hp = 3.0\nspeed = 11\n")

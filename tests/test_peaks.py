@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles as orc
 from mfcorr import DomainError, ObjectSpec, PeakMeasurement, detect_peaks
 from mfcorr.correlate import CorrelationResult, Method
 from mfcorr.peaks import width_at_fraction
@@ -131,3 +134,63 @@ def test_benchmark_profile_lands_on_grid():
     pm = detect_peaks(correlate(obj, tpl, M("coincidence")).normalized(), spec)
     assert pm.x1 == pytest.approx(spec.x_p, abs=spec.grid[1] / spec.grid[2])
     assert pm.x2 == pytest.approx(spec.x_s, abs=2 * obj.dx)
+
+
+def test_ties_chain_through_neighbours():
+    # steps of 0.6e-12 tie pairwise (tolerance 1e-12 at h1 ~ 1) though the run
+    # spans 1.8e-12: the run is samples 1..4, not just the ones tying with the max
+    vals = np.zeros(30)
+    vals[1:5] = 1.0 + 0.6e-12 * np.arange(4)
+    pm = detect_peaks(profile(vals), SPEC)
+    assert pm.x1 == 2.5
+    assert pm.h1 == vals[4]
+
+
+def test_long_plateau():
+    # 10,000 samples flat up to rounding between two linear ramps
+    rng = np.random.default_rng(5)
+    ramp = np.linspace(0.0, 1.0, 41)
+    vals = np.concatenate([ramp, 1.0 + rng.uniform(-3e-13, 3e-13, 10_000), ramp[::-1]])
+    pm = detect_peaks(profile(vals, dx=0.01), SPEC)
+    # the plateau spans samples 40..10,041; the 75% level is met at 30 and 10,051
+    assert pm.x1 == pytest.approx(0.01 * (40 + 10_041) / 2, abs=1e-9)
+    assert pm.w1 == pytest.approx(0.01 * (10_051 - 30), abs=1e-9)
+    assert not pm.has_secondary
+
+
+def _check_against_oracle(values, dx, x0):
+    p = profile(values, dx=dx, x0=x0)
+    want = orc.o_detect_peaks(p.lags.tolist(), p.values.tolist(),
+                              3.0 * max(SPEC.sigma_p, SPEC.sigma_s))
+    if want is None:
+        with pytest.raises(DomainError):
+            detect_peaks(p, SPEC)
+        return
+    # a negative primary tied with a neighbour divides by zero at its crossing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pm = detect_peaks(p, SPEC)
+    got = (pm.x1, pm.h1, pm.w1, pm.x2, pm.h2, pm.w2)
+    assert [str(v) for v in got] == [str(v) for v in want]  # nan matches nan
+
+
+grid_steps = st.sampled_from([0.01, 0.1, 0.25])
+grid_starts = st.floats(-5.0, 5.0)
+
+
+@given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=80), grid_steps, grid_starts)
+@settings(max_examples=300, deadline=None)
+def test_random_profiles_match_oracle(values, dx, x0):
+    _check_against_oracle(np.asarray(values), dx, x0)
+
+
+@given(st.lists(st.tuples(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                          st.integers(1, 12)), min_size=1, max_size=10),
+       st.lists(st.sampled_from([-6e-13, 0.0, 6e-13]), min_size=1, max_size=120),
+       st.sampled_from([1.0, 3.0]), grid_steps, grid_starts)
+@settings(max_examples=300, deadline=None)
+def test_plateau_profiles_match_oracle(runs, ripple_steps, scale, dx, x0):
+    # plateaus from a few levels, plus a drift of sub-tolerance steps whose sum
+    # can leave the tolerance within one plateau
+    base = np.concatenate([np.full(length, level) for level, length in runs])
+    ripple = np.resize(np.cumsum(ripple_steps), base.size)
+    _check_against_oracle(scale * (base + ripple), dx, x0)

@@ -92,6 +92,14 @@ def test_level_zero_has_zero_std():
         assert agg.n == 4
 
 
+def test_equal_values_have_zero_std():
+    # np.std(np.full(50, 0.1), ddof=1) is 2.8e-17: the mean misses 0.1 by an ulp
+    same = PerformanceIndices(r_xp=0.1, r_wp=0.1)
+    agg = aggregate_records([SweepRecord("classic", 0, r, same) for r in range(50)])
+    assert agg[("classic", 0)]["r_xp"].std == 0.0
+    assert agg[("classic", 0)]["r_xp"].mean == pytest.approx(0.1)
+
+
 def test_methods_canonicalized_in_config():
     cfg = SweepConfig(methods=("jaccard", "correlation"), levels=(0,),
                       realizations=1)
