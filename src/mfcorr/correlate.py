@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .indices import EPS_DENOM, profile_values
+from .indices import EPS_DENOM, SUMS_READ, profile_values
 from .signal import AlignmentError, DomainError, Signal, same_spacing
 
 METHOD_TAGS = ("classic", "jaccard_real", "interiority", "coincidence",
@@ -92,7 +92,8 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
 
     The rows share one grid (x0, dx).  A name is a tag or COMBINED_PREFIX + a
     multiset tag.  One kernel call serves the plain names and the combined
-    ones' first stage, a second their second stage; plain names come first.
+    ones' first stage (classic), a second their second stage; plain names come
+    first.  Each call adds only the window sums its formulas read.
     """
     inner = {n.removeprefix(COMBINED_PREFIX): n for n in names if n.startswith(COMBINED_PREFIX)}
     if "classic" in inner:
@@ -102,7 +103,9 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     samples = np.atleast_2d(samples)
     k0, n_lags, center = _lag_geometry(samples.shape[1], len(template), boundary)
     lags = x0 + (k0 + np.arange(n_lags) + center) * dx
-    sums = kernels.sliding_sums(samples, template.samples, k0, n_lags)
+    need = set().union(*(SUMS_READ.get("classic" if n.startswith(COMBINED_PREFIX) else n, ())
+                         for n in names))
+    sums = kernels.sliding_sums(samples, template.samples, k0, n_lags, need=need)
     for name in names:
         if not name.startswith(COMBINED_PREFIX):
             yield name, Method(name), lags, profile_values(name, *sums, dx)

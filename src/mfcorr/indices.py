@@ -3,6 +3,17 @@
 All integrals are Riemann sums on the shared grid: integral(h) ~ dx * sum(h(x_i)).
 profile_values holds the real-valued index formulas, one value per lag from
 the kernel's window sums; a whole-signal functional is its full-overlap lag.
+Each formula reads only the sums that SUMS_READ names for its tag:
+
+    tag                          sums read
+    classic                      DOT
+    jaccard_real, coincidence    SM, UM, AGW
+    interiority                  UM, AGW
+    jaccard_addition             SM, SGW
+    coincidence_addition         SM, UM, AGW, SGW
+
+The magnitude union needs no sum of its own: as max(|f|, |g|) = |f| + |g| -
+min(|f|, |g|), its integral over the full grid is dx * ((sum|f| + AGW) - UM).
 A denominator whose magnitude is below EPS_DENOM yields 0 instead of a
 quotient.  Every functional is symmetric in its two arguments and pure.
 """
@@ -11,10 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+from .kernels import AGW, DOT, SGW, SM, UM, aligned_sums
 from .signal import DomainError, Multiset, Signal, require_aligned, require_same_size
 
 EPS_DENOM = 1e-12
+
+SUMS_READ = {"classic": {DOT}, "jaccard_real": {SM, UM, AGW}, "coincidence": {SM, UM, AGW},
+             "interiority": {UM, AGW}, "jaccard_addition": {SM, SGW},
+             "coincidence_addition": {SM, UM, AGW, SGW}}
 
 
 def set_jaccard(a: Multiset, b: Multiset) -> float:
@@ -45,30 +60,32 @@ def multiset_jaccard(a: Multiset, b: Multiset) -> float:
 
 def signed_min_intersection(f: Signal, g: Signal) -> float:
     """Sign-aware pointwise-minimum overlap integral; samples where either is 0 add 0."""
-    return float(_integrals(f, g)[kernels.SM])
+    return float(_integrals(f, g)[SM])
 
 
 def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
-    return float(_integrals(f, g)[kernels.MX])
+    require_aligned(f, g)
+    sums, abs_total, _ = aligned_sums(f.samples, g.samples)
+    return float(f.dx * ((abs_total + sums[0, AGW]) - sums[0, UM]))
 
 
 def s_plus(f: Signal, g: Signal) -> float:
     """Overlap integral restricted to samples where the two signals agree in sign."""
     integrals = _integrals(f, g)   # the unsigned overlap is s_plus + s_minus
-    return float(0.5 * (integrals[kernels.UM] + integrals[kernels.SM]))
+    return float(0.5 * (integrals[UM] + integrals[SM]))
 
 
 def s_minus(f: Signal, g: Signal) -> float:
     """Overlap integral restricted to samples where the two signals oppose in sign."""
     integrals = _integrals(f, g)   # the signed overlap is s_plus - s_minus
-    return float(0.5 * (integrals[kernels.UM] - integrals[kernels.SM]))
+    return float(0.5 * (integrals[UM] - integrals[SM]))
 
 
 def _integrals(f: Signal, g: Signal) -> np.ndarray:
-    """dx times the seven sums of kernels.aligned_sums for an aligned pair."""
+    """dx times the five sums of kernels.aligned_sums for an aligned pair."""
     require_aligned(f, g)
-    return f.dx * kernels.aligned_sums(f.samples, g.samples)[0]
+    return f.dx * aligned_sums(f.samples, g.samples)[0][0]
 
 
 def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> float:
@@ -92,23 +109,23 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: float | np.ndarray,
                    sum_total: float | np.ndarray, dx: float) -> np.ndarray:
     """Index values per lag from kernels.sliding_sums output, one row per object of a stack."""
     if tag == "classic":
-        return dx * sums[..., kernels.DOT]
+        return dx * sums[..., DOT]
 
     abs_total = np.asarray(abs_total)[..., None]
-    sm = dx * sums[..., kernels.SM]
+    if tag == "interiority":
+        return _interiority_values(sums, abs_total, dx)
 
+    sm = dx * sums[..., SM]
     if tag in ("jaccard_real", "coincidence"):
-        union = dx * (sums[..., kernels.MX] + (abs_total - sums[..., kernels.AFW]))
+        # this grouping keeps the union exactly symmetric in the two signals
+        union = dx * ((abs_total + sums[..., AGW]) - sums[..., UM])
         jac = _guarded_ratio(sm, union)
         if tag == "jaccard_real":
             return jac
         return jac * _interiority_values(sums, abs_total, dx)
 
-    if tag == "interiority":
-        return _interiority_values(sums, abs_total, dx)
-
     if tag in ("jaccard_addition", "coincidence_addition"):
-        den = dx * (np.asarray(sum_total)[..., None] + sums[..., kernels.SGW])
+        den = dx * (np.asarray(sum_total)[..., None] + sums[..., SGW])
         jac = _guarded_ratio(2.0 * sm, den, signed_den=True)
         if tag == "jaccard_addition":
             return jac
@@ -118,16 +135,14 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: float | np.ndarray,
 
 
 def _interiority_values(sums: np.ndarray, abs_total: float, dx: float) -> np.ndarray:
-    num = dx * sums[..., kernels.UM]
-    den = dx * np.minimum(abs_total, sums[..., kernels.AGW])
+    num = dx * sums[..., UM]
+    den = dx * np.minimum(abs_total, sums[..., AGW])
     return np.clip(_guarded_ratio(num, den), 0.0, 1.0)
 
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
-    sums = kernels.aligned_sums(f.samples, g.samples)
-    return float(profile_values(tag, sums, sums[0, kernels.AFW], float(np.sum(f.samples)),
-                                f.dx)[0])
+    return float(profile_values(tag, *aligned_sums(f.samples, g.samples), f.dx)[0])
 
 
 def jaccard_real(f: Signal, g: Signal) -> float:

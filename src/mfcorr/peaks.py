@@ -1,9 +1,9 @@
 """Peak geometry measurements on matching profiles.
 
-Widths follow the 75%-slice rule: the contiguous extent around a peak where
-the profile stays at or above the fraction of that peak's height (the peak
-counts as inside, even a negative one), with linear interpolation at the two
-crossings.  A region that runs into the profile boundary is truncated there.
+Widths follow the 75%-slice rule: the contiguous extent around a peak of
+positive height where the profile stays at or above that fraction of the
+height, with linear interpolation at the two crossings.  A region that runs
+into the profile boundary is truncated there.
 
 Sliding similarity profiles can be numerically flat where the template fits
 entirely under the object, so a peak sits at the midpoint of its tie run: a
@@ -64,10 +64,13 @@ def detect_peaks(profile: CorrelationResult, object_spec: ObjectSpec) -> PeakMea
     maximum (a strict rise in, no rise out) of positive height whose run
     midpoint lies further than 3*max(sigma_p, sigma_s) from the primary's
     (keeps the primary peak's shoulder from registering as a second match).
+    A primary of height <= 0 has no width and raises DomainError.
     """
     lags, values = profile.lags, profile.values
     i1 = int(np.argmax(values))
     h1 = float(values[i1])
+    if h1 <= 0.0:
+        raise DomainError(f"primary peak height {h1:.6g} is not positive")
     step = np.diff(values)
     breaks = np.flatnonzero(np.abs(step) > 1e-12 * max(1.0, abs(h1)))
     if breaks.size == 0:

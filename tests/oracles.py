@@ -186,15 +186,6 @@ def o_profile(obj, x0: float, dx: float, tpl, tag: str,
 # Peak detection, walking the profile one sample at a time.  Neighbours tie
 # when they differ by at most 1e-12*max(1, |h1|); a tie run is a chain of ties.
 
-def _ieee_div(num: float, den: float) -> float:
-    """num / den giving +-inf or nan for a zero den, as float64 division does."""
-    if den != 0.0:
-        return num / den
-    if num == 0.0 or num != num:
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
 def o_width(lags, values, peak: int, fraction: float = 0.75) -> float:
     level = fraction * values[peak]
     n = len(values)
@@ -204,26 +195,31 @@ def o_width(lags, values, peak: int, fraction: float = 0.75) -> float:
     if a == 0:
         left = lags[0]
     else:
-        left = lags[a - 1] + _ieee_div((lags[a] - lags[a - 1]) * (level - values[a - 1]),
-                                       values[a] - values[a - 1])
+        left = lags[a - 1] + ((lags[a] - lags[a - 1]) * (level - values[a - 1])
+                              / (values[a] - values[a - 1]))
     b = peak
     while b < n - 1 and values[b + 1] >= level:
         b += 1
     if b == n - 1:
         right = lags[n - 1]
     else:
-        right = lags[b] + _ieee_div((lags[b + 1] - lags[b]) * (level - values[b]),
-                                    values[b + 1] - values[b])
+        right = lags[b] + ((lags[b + 1] - lags[b]) * (level - values[b])
+                           / (values[b + 1] - values[b]))
     return right - left
 
 
 def o_detect_peaks(lags, values, exclusion: float):
-    """(x1, h1, w1, x2, h2, w2), the secondary three None when absent; None if constant."""
+    """(x1, h1, w1, x2, h2, w2), the secondary three None when absent.
+
+    None when the profile is constant or its maximum is not positive.
+    """
     n = len(values)
     i1 = 0
     for i in range(n):
         if values[i] > values[i1]:
             i1 = i
+    if values[i1] <= 0.0:
+        return None
     tol = 1e-12 * max(1.0, abs(values[i1]))
 
     def run(k):

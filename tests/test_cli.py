@@ -84,6 +84,20 @@ def test_correlate_object_csv_roundtrip(tmp_path, capsys):
            (file_dir / "correlate_jaccard_real.csv").read_bytes()
 
 
+def test_correlate_all_negative_object_reports_failed_detection(tmp_path, capsys):
+    # a positive template on a negative object gives a negative classic profile
+    obj = gen_object(ObjectSpec())
+    csv_path = tmp_path / "object.csv"
+    lines = ["x,value"] + [f"{obj.x0 + obj.dx * i!r},{-1.0 - float(v)!r}"
+                           for i, v in enumerate(obj.samples)]
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, "correlate", "--methods", "classic", "--object",
+                          str(csv_path), "--out-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert "classic: peak detection failed: primary peak height" in out
+    assert "w1=" not in out
+
+
 def test_correlate_malformed_object_csv_names_line(tmp_path, capsys):
     path = tmp_path / "object.csv"
     path.write_text("x,value\n0.0,1.0\n0.1,oops\n")

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles as orc
 from mfcorr import (AlignmentError, DomainError, Method, ObjectSpec, Signal,
                     TemplateSpec, correlate, correlate_classic,
                     correlate_combined, gen_object, gen_template)
+from mfcorr.correlate import profiles
 
 MULTISET_TAGS = ("jaccard_real", "interiority", "coincidence",
                  "jaccard_addition", "coincidence_addition")
 ALL_TAGS = ("classic",) + MULTISET_TAGS
+ALL_NAMES = ALL_TAGS + tuple("combined_" + t for t in MULTISET_TAGS)
 
 
 def test_identity_alignment_peaks_at_one():
@@ -211,3 +216,31 @@ def test_combined_smoother_under_heavy_noise():
         if _sign_changes(combined.values) < _sign_changes(direct.values):
             wins += 1
     assert wins >= 4
+
+
+@st.composite
+def stacks_and_names(draw):
+    """Stacked objects, a template that fits them, a subset of the method names, a boundary."""
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(2, 24))
+    values = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
+    f = draw(hnp.arrays(np.float64, (rows, n), elements=values))
+    boundary = draw(st.sampled_from(("pad", "valid")))
+    # a valid combined stage 2 slides the template over the n - m + 1 stage-1 lags
+    m = draw(st.integers(1, n if boundary == "pad" else (n + 1) // 2))
+    g = draw(hnp.arrays(np.float64, m, elements=values))
+    names = draw(st.lists(st.sampled_from(ALL_NAMES), min_size=1, unique=True))
+    return f, Signal(g, dx=0.25), names, boundary
+
+
+@given(stacks_and_names())
+@settings(max_examples=200, deadline=None)
+def test_values_do_not_depend_on_other_names(case):
+    # each call adds only the sums its names read: a name's values must not
+    # depend on which other names share the call
+    f, tpl, names, boundary = case
+    together = {name: values for name, _, _, values in
+                profiles(f, -1.0, 0.25, tpl, names, boundary)}
+    assert sorted(together) == sorted(names)
+    for name in names:
+        [(_, _, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
+        assert together[name].tobytes() == alone.tobytes(), name

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 import oracles as orc
 from mfcorr.correlate import METHOD_TAGS
-from mfcorr.indices import profile_values
-from mfcorr.kernels import AFW, AGW, DOT, MX, N_SUMS, SGW, SM, UM, sliding_sums
+from mfcorr.indices import SUMS_READ, profile_values
+from mfcorr.kernels import AGW, DOT, N_SUMS, SGW, SM, UM, sliding_sums
 
 
 def naive_sums(f, g, k0, n_lags):
@@ -18,7 +18,7 @@ def naive_sums(f, g, k0, n_lags):
     out = np.zeros((n_lags, N_SUMS))
     for k in range(n_lags):
         gm = orc._shifted_template(n, g, k0 + k)
-        sm = um = mx = afw = agw = sgw = dot = 0.0
+        sm = um = agw = sgw = dot = 0.0
         start = k0 + k
         for j in range(m):
             i = start + j
@@ -28,12 +28,10 @@ def naive_sums(f, g, k0, n_lags):
             fa, ga = abs(fv), abs(gv)
             sm += orc._sign(fv) * orc._sign(gv) * min(fa, ga)
             um += min(fa, ga)
-            mx += max(fa, ga)
-            afw += fa
             agw += ga
             sgw += gv
             dot += fv * gv
-        out[k] = (sm, um, mx, afw, agw, sgw, dot)
+        out[k] = (sm, um, agw, sgw, dot)
     return out
 
 
@@ -67,8 +65,6 @@ def test_offgrid_template_samples_ignored():
     assert sums[0, AGW] == 2.0   # only 2 of 4 template samples on-grid
     assert sums[0, SGW] == 2.0
     assert sums[0, UM] == 2.0
-    assert sums[0, MX] == 2.0
-    assert sums[0, AFW] == 2.0   # object samples under the on-grid window half
     assert sums[0, DOT] == 2.0
     assert sums[0, SM] == 2.0
     assert abs_total == 6.0
@@ -80,8 +76,28 @@ def test_zero_lag_window_equals_head():
     sums, _, _ = sliding_sums(f, g, 0, 6)
     # window at lag k covers f[k:k+3]
     for k in range(6):
-        assert sums[k, AFW] == pytest.approx(np.sum(f[k:k + 3]))
         assert sums[k, DOT] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
+
+
+def test_sums_not_needed_read_nan():
+    rng = np.random.default_rng(4)
+    f, g = rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 5)
+    full, abs_total, sum_total = sliding_sums(f, g, -2, 20)
+    sums, *totals = sliding_sums(f, g, -2, 20, need={DOT})
+    assert np.isnan(sums[:, [SM, UM, AGW, SGW]]).all()
+    assert sums[:, DOT].tobytes() == full[:, DOT].tobytes()
+    assert totals == [abs_total, sum_total]
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_formulas_read_only_their_sums(tag):
+    # with NaN in every sum the table leaves out, the values are those of all five
+    rng = np.random.default_rng(5)
+    f, g = rng.uniform(-3, 3, (2, 30)), rng.uniform(-3, 3, 7)
+    f[:, ::4] = 0.0
+    want = profile_values(tag, *sliding_sums(f, g, -3, 30), 0.1)
+    got = profile_values(tag, *sliding_sums(f, g, -3, 30, need=SUMS_READ[tag]), 0.1)
+    assert got.tobytes() == want.tobytes()
 
 
 def _long_object(offset, rng):
@@ -95,8 +111,8 @@ def _long_object(offset, rng):
 
 @pytest.mark.parametrize("offset", [100.0, 1e4])
 def test_long_signal_with_offset_matches_naive(offset):
-    # AFW and MX are sums of |f| over the window, ~121*offset here: a prefix-sum
-    # difference over 16,000 samples would lose their last digits to cancellation
+    # on the offset the union (sum|f| + AGW) - UM is ~16,000*offset and DOT ~121*offset:
+    # the sums and every profile must still match the naive loop to rounding
     rng = np.random.default_rng(int(offset))
     f = _long_object(offset, rng)
     g = 2.0 * np.sin(np.pi * np.arange(121) / 120)

@@ -118,6 +118,18 @@ def test_constant_profile_rejected():
         detect_peaks(profile(np.full(32, 0.7)), SPEC)
 
 
+@pytest.mark.parametrize("values", [
+    [-2.0, -1.0, -2.0],          # the crossings would extrapolate: w1 = -0.5
+    [-1.0, -1.0, -2.0],          # a tied neighbour would divide by zero: w1 = inf
+    [-2.0, -1.0, -1.0, -2.0],
+    [-1.0, 0.0, -1.0],           # a zero primary has no width either
+])
+def test_nonpositive_primary_rejected(values):
+    with pytest.raises(DomainError, match="not positive"):
+        detect_peaks(profile(values), SPEC)
+    assert orc.o_detect_peaks(list(range(len(values))), values, 0.9) is None
+
+
 def test_peak_measurement_flag():
     pm = PeakMeasurement(1.0, 2.0, 0.5)
     assert not pm.has_secondary
@@ -166,9 +178,7 @@ def _check_against_oracle(values, dx, x0):
         with pytest.raises(DomainError):
             detect_peaks(p, SPEC)
         return
-    # a negative primary tied with a neighbour divides by zero at its crossing
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pm = detect_peaks(p, SPEC)
+    pm = detect_peaks(p, SPEC)
     got = (pm.x1, pm.h1, pm.w1, pm.x2, pm.h2, pm.w2)
     assert [str(v) for v in got] == [str(v) for v in want]  # nan matches nan
 
