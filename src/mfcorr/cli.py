@@ -10,21 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from . import pca as pca_mod
-from .correlate import BOUNDARIES, CorrelationResult
+from .correlate import BOUNDARIES, CorrelationResult, canonical_method, method_profile
 from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
                          DEFAULT_TEMPLATE_WIDTH, NoiseSpec, ObjectSpec,
                          TemplateSpec, add_noise, gen_object, gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
-from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, canonical_method,
-                    method_profile, run_sweep, write_aggregates_csv, write_csv,
-                    write_records_csv)
-
-_CONFIG_KEYS = {"hp", "hs", "sigma_p", "sigma_s", "xp", "xs", "grid_start", "grid_end",
-                "grid_n", "template_width", "template_amplitude", "noise_multiplier",
-                "seed", "noise_level", "realization", "realizations", "threads",
-                "boundary", "methods", "levels"}
-
+from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, run_sweep, write_aggregates_csv,
+                    write_csv, write_records_csv)
 
 class CliError(Exception):
     """User-facing failure; printed as a single line and exits nonzero."""
@@ -37,8 +30,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    """`key=value` per line; blank lines and # comments ignored."""
+def _parse_config_file(path: str, keys: set[str]) -> dict[str, str]:
+    """`key=value` per line, each key one of keys; blank lines and # comments ignored."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -52,7 +45,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value.strip()
     return out
@@ -63,12 +56,15 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
     The file is read after a first parse and its values become the subcommand's
     defaults for a second one, so a flag given on the command line always wins,
-    even when it repeats the built-in default.
+    even when it repeats the built-in default.  Its keys are the subcommand's
+    flags that take a value.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        args.subparser.set_defaults(**_parse_config_file(args.config))
+        keys = {k for k, v in vars(args).items() if not isinstance(v, bool)}
+        keys -= {"command", "config", "func", "subparser"}
+        args.subparser.set_defaults(**_parse_config_file(args.config, keys))
         try:
             args = parser.parse_args(argv)
         except CliError as exc:  # the command line parsed once, so the file is at fault
@@ -106,20 +102,14 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise CliError("no methods given")
-    try:
-        return tuple(canonical_method(n) for n in names)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    return tuple(canonical_method(n) for n in names)
 
 
 def _object_spec(args: argparse.Namespace) -> ObjectSpec:
-    try:
-        return ObjectSpec(h_p=args.hp, h_s=args.hs,
-                          sigma_p=args.sigma_p, sigma_s=args.sigma_s,
-                          x_p=args.xp, x_s=args.xs,
-                          grid=(args.grid_start, args.grid_end, args.grid_n))
-    except (DomainError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    return ObjectSpec(h_p=args.hp, h_s=args.hs,
+                      sigma_p=args.sigma_p, sigma_s=args.sigma_s,
+                      x_p=args.xp, x_s=args.xs,
+                      grid=(args.grid_start, args.grid_end, args.grid_n))
 
 
 def _load_object_csv(path: str) -> Signal:
@@ -215,18 +205,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     levels = _parse_levels(args.levels)
     realizations = 50 if args.desk_scale else args.realizations
     methods = _parse_methods(args.methods) if args.methods else DEFAULT_METHODS
-    try:
-        cfg = SweepConfig(methods=methods, object_spec=spec,
-                          template_spec=TemplateSpec(args.template_width,
-                                                     args.template_amplitude),
-                          levels=levels, realizations=realizations,
-                          base_seed=args.seed,
-                          noise_multiplier=args.noise_multiplier,
-                          boundary=args.boundary)
-    except (DomainError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    # --threads is accepted as a scheduling hint only; results are a pure
-    # function of the config, so it must never change the output bytes.
+    cfg = SweepConfig(methods=methods, object_spec=spec,
+                      template_spec=TemplateSpec(args.template_width,
+                                                 args.template_amplitude),
+                      levels=levels, realizations=realizations,
+                      base_seed=args.seed,
+                      noise_multiplier=args.noise_multiplier,
+                      boundary=args.boundary)
     result = run_sweep(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +229,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     records_name = Path(args.records).name
     try:
         records = pca_mod.read_records(args.records)
-    except (pca_mod.AnalysisError, OSError) as exc:
+    except OSError as exc:
         raise CliError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,15 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--realizations", type=int, default=300)
     p_bench.add_argument("--desk-scale", dest="desk_scale", action="store_true",
                          help="preset: 50 realizations for quick runs")
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="scheduling hint; never changes results")
     p_bench.add_argument("--out-dir", dest="out_dir", default=".")
     p_bench.set_defaults(func=_cmd_bench, subparser=p_bench)
 
     p_pca = sub.add_parser("pca", help="project merit figures on 2 principal axes")
     p_pca.add_argument("--records", required=True, help="records.csv from bench")
     p_pca.add_argument("--levels", default="1,10,20")
-    p_pca.add_argument("--methods", default="classic,jaccard,coincidence")
+    p_pca.add_argument("--methods", default=",".join(pca_mod.DEFAULT_PCA_METHODS))
     p_pca.add_argument("--out-dir", dest="out_dir", default=".")
     p_pca.add_argument("--config", default=None,
                        help="key=value file; explicit flags override it")

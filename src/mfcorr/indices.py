@@ -27,8 +27,8 @@ from .signal import DomainError, Multiset, Signal, require_aligned, require_same
 
 EPS_DENOM = 1e-12
 
-SUMS_READ = {"classic": {DOT}, "jaccard_real": {SM, UM, AGW}, "coincidence": {SM, UM, AGW},
-             "interiority": {UM, AGW}, "jaccard_addition": {SM, SGW},
+SUMS_READ = {"classic": {DOT}, "jaccard_real": {SM, UM, AGW}, "interiority": {UM, AGW},
+             "coincidence": {SM, UM, AGW}, "jaccard_addition": {SM, SGW},
              "coincidence_addition": {SM, UM, AGW, SGW}}
 
 

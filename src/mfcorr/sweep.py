@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # method_profile is imported to stay public as mfcorr.sweep.method_profile too
-from .correlate import (BOUNDARIES, COMBINED_PREFIX, METHOD_TAGS, MULTISET_TAGS,  # noqa: F401
-                        CorrelationResult, method_profile, profiles)
+from .correlate import (BOUNDARIES, CorrelationResult, canonical_method,  # noqa: F401
+                        method_profile, profiles)
 from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, add_noise,
                          gen_object, gen_template)
 from .indices import EPS_DENOM
@@ -30,28 +30,8 @@ from .signal import DomainError
 
 DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coincidence")
 
-_ALIASES = {
-    "jaccard": "jaccard_real",
-    "correlation": "classic",
-    "cross_correlation": "classic",
-}
-
 RECORD_COLUMNS = ("method", "level", "realization") + INDEX_NAMES + (
     "primary_found", "secondary_found")
-
-
-def canonical_method(name: str) -> str:
-    """Normalize a user-facing method name; raises on unknown methods."""
-    base = name.strip().lower().replace("-", "_")
-    combined = base.startswith(COMBINED_PREFIX)
-    if combined:
-        base = base[len(COMBINED_PREFIX):]
-    base = _ALIASES.get(base, base)
-    if base not in METHOD_TAGS:
-        raise DomainError(f"unknown method {name!r}")
-    if combined and base not in MULTISET_TAGS:
-        raise DomainError("combined methods need a multiset inner method, not classic")
-    return COMBINED_PREFIX + base if combined else base
 
 
 @dataclass(frozen=True)
@@ -155,11 +135,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             for r in range(cfg.realizations)])
         # cells[r][i]: the record of realization r under cfg.methods[i]
         cells = [[None] * len(cfg.methods) for _ in range(cfg.realizations)]
-        for name, method, lags, values in profiles(noisy, clean.x0, clean.dx, template,
-                                                   cfg.methods, cfg.boundary):
+        for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
+                                           cfg.methods, cfg.boundary):
             i = cfg.methods.index(name)
             for r, row in enumerate(values):
-                profile = CorrelationResult(lags, row, method, cfg.boundary).normalized()
+                profile = CorrelationResult(lags, row).normalized()
                 cells[r][i] = SweepRecord(name, level, r, _cell_indices(profile, cfg))
         records.extend(rec for cell in cells for rec in cell)
     return SweepResult(cfg, records, aggregate_records(records))

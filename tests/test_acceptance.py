@@ -36,7 +36,6 @@ from mfcorr import (
     run_sweep,
 )
 from mfcorr.cli import main
-from mfcorr.correlate import CorrelationResult, Method
 from mfcorr.indices import (abs_union_max, inner_product, s_minus, s_plus,
                             s_pm, signed_min_intersection)
 from mfcorr.peaks import width_at_fraction
@@ -323,12 +322,11 @@ def test_criterion_9_bench_determinism(tmp_path_factory, capsys):
     argv = ["bench", "--seed", "7", "--desk-scale"]
     assert main(argv + ["--out-dir", str(dirs[0])]) == 0
     assert main(argv + ["--out-dir", str(dirs[1])]) == 0
-    assert main(argv + ["--out-dir", str(dirs[2]), "--threads", "8"]) == 0
+    assert main(argv + ["--out-dir", str(dirs[2])]) == 0
     capsys.readouterr()
     ref_records = (dirs[0] / "records.csv").read_bytes()
     ref_aggregates = (dirs[0] / "aggregates.csv").read_bytes()
     for d in dirs[1:]:
         assert (d / "records.csv").read_bytes() == ref_records
         assert (d / "aggregates.csv").read_bytes() == ref_aggregates
-    _report(9, f"3 runs byte-identical ({len(ref_records)} record bytes), "
-               "--threads inert")
+    _report(9, f"3 runs byte-identical ({len(ref_records)} record bytes)")

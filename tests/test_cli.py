@@ -142,16 +142,12 @@ def test_bench_writes_records_and_aggregates(tmp_path, capsys):
     assert "8 records" in out
 
 
-def test_bench_deterministic_and_thread_hint_inert(tmp_path, capsys):
-    dirs = [tmp_path / name for name in ("a", "b", "c")]
+def test_bench_deterministic(tmp_path, capsys):
+    dirs = [tmp_path / name for name in ("a", "b")]
     assert _bench(capsys, dirs[0])[0] == 0
     assert _bench(capsys, dirs[1])[0] == 0
-    assert _bench(capsys, dirs[2], "--threads", "4")[0] == 0
-    ref_records = (dirs[0] / "records.csv").read_bytes()
-    ref_aggregates = (dirs[0] / "aggregates.csv").read_bytes()
-    for d in dirs[1:]:
-        assert (d / "records.csv").read_bytes() == ref_records
-        assert (d / "aggregates.csv").read_bytes() == ref_aggregates
+    for name in ("records.csv", "aggregates.csv"):
+        assert (dirs[1] / name).read_bytes() == (dirs[0] / name).read_bytes()
 
 
 def test_bench_desk_scale_sets_realizations(tmp_path, capsys):
@@ -224,6 +220,7 @@ def test_config_file_bad_value(tmp_path, capsys):
     (["bench", "--boundary", "wrap"], "argument --boundary: invalid choice: 'wrap'"),
     (["pca"], "the following arguments are required: --records"),
     ([], "the following arguments are required: command"),
+    (["bench", "--threads", "2"], "unrecognized arguments: --threads 2"),
 ])
 def test_bad_flag_is_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
@@ -244,6 +241,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = _run(capsys, "bench", "--levels", "0", "--config", str(cfg),
                         "--out-dir", str(tmp_path))
     assert code == 1 and f"{cfg}:2" in err and "speed" in err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["pca", "--records", "records.csv"], "hp = 3"),
+    (["pca", "--records", "records.csv"], "realizations = 7"),
+    (["correlate"], "levels = 0-3"),
+    (["correlate"], "normalize = 0"),   # a switch takes no value, so no config key either
+])
+def test_config_key_is_a_flag_of_the_subcommand(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\n{line}\n")
+    code, out, err = _run(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path))
+    key = line.partition(" ")[0]
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}:2: unknown config key {key!r}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +383,8 @@ def test_parse_levels_ranges():
         _parse_levels(",")
 
 
-def test_parse_methods_aliases():
+def test_parse_methods_aliases(capsys):
     assert _parse_methods("jaccard,correlation") == ("jaccard_real", "classic")
-    with pytest.raises(CliError):
-        _parse_methods("combined_classic")
+    assert main(["bench", "--methods", "combined_classic"]) == 1
+    assert capsys.readouterr().err == (
+        "error: combined methods need a multiset inner method, not classic\n")

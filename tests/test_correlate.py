@@ -1,5 +1,7 @@
 """Sliding correlation engine: worked cases, invariants, oracle equivalence."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles as orc
-from mfcorr import (AlignmentError, DomainError, Method, ObjectSpec, Signal,
-                    TemplateSpec, correlate, correlate_classic,
-                    correlate_combined, gen_object, gen_template)
+from mfcorr import (AlignmentError, DomainError, ObjectSpec, Signal, SweepConfig,
+                    TemplateSpec, gen_object, gen_template, method_profile)
+from mfcorr.cli import main
 from mfcorr.correlate import profiles
 
 MULTISET_TAGS = ("jaccard_real", "interiority", "coincidence",
@@ -22,7 +24,7 @@ def test_identity_alignment_peaks_at_one():
     rng = np.random.default_rng(3)
     f = Signal(rng.uniform(0.5, 2.0, 33), dx=0.5, x0=-4.0)
     for tag in MULTISET_TAGS:
-        r = correlate(f, f, Method(tag))
+        r = method_profile(tag, f, f)
         k = np.argmax(r.values)
         assert r.values[k] == pytest.approx(1.0, abs=1e-12), tag
         # zero lag = the template sitting on itself: midpoint of f's own support
@@ -33,7 +35,7 @@ def test_classic_impulse_profile():
     obj = Signal(np.zeros(32), dx=1.0)
     obj = obj.with_samples(np.eye(32)[10])
     tpl = Signal(np.array([1.0]), dx=1.0)
-    r = correlate_classic(obj, tpl)
+    r = method_profile("classic", obj, tpl)
     assert r.values[10] == 1.0
     assert np.count_nonzero(r.values) == 1
     assert r.lags[10] == 10.0
@@ -42,7 +44,7 @@ def test_classic_impulse_profile():
 def test_classic_flat_on_constants():
     obj = Signal(np.full(20, 3.0), dx=1.0)
     tpl = Signal(np.full(5, 2.0), dx=1.0)
-    r = correlate_classic(obj, tpl, boundary="valid")
+    r = method_profile("classic", obj, tpl, boundary="valid")
     assert np.allclose(r.values, r.values[0])
     assert len(r.lags) == 16
 
@@ -50,7 +52,7 @@ def test_classic_flat_on_constants():
 def test_classic_zero_template():
     obj = Signal(np.arange(1.0, 9.0), dx=1.0)
     tpl = Signal(np.zeros(3), dx=1.0)
-    r = correlate_classic(obj, tpl)
+    r = method_profile("classic", obj, tpl)
     assert np.all(r.values == 0.0)
 
 
@@ -60,9 +62,9 @@ def test_classic_linearity():
     h = rng.normal(size=40)
     g = Signal(rng.normal(size=7), dx=1.0)
     a, b = 2.5, -1.25
-    ra = correlate_classic(Signal(f, dx=1.0), g)
-    rh = correlate_classic(Signal(h, dx=1.0), g)
-    rc = correlate_classic(Signal(a * f + b * h, dx=1.0), g)
+    ra = method_profile("classic", Signal(f, dx=1.0), g)
+    rh = method_profile("classic", Signal(h, dx=1.0), g)
+    rc = method_profile("classic", Signal(a * f + b * h, dx=1.0), g)
     np.testing.assert_allclose(rc.values, a * ra.values + b * rh.values,
                                atol=1e-12)
 
@@ -74,8 +76,8 @@ def test_shift_equivariance():
     tpl = Signal(np.sin(np.pi * np.arange(9) / 8.0), dx=1.0)
     shifted = np.roll(base, 6)
     for tag in ALL_TAGS:
-        r0 = correlate(Signal(base, dx=1.0), tpl, Method(tag))
-        r1 = correlate(Signal(shifted, dx=1.0), tpl, Method(tag))
+        r0 = method_profile(tag, Signal(base, dx=1.0), tpl)
+        r1 = method_profile(tag, Signal(shifted, dx=1.0), tpl)
         assert np.argmax(r1.values) - np.argmax(r0.values) == 6, tag
 
 
@@ -84,7 +86,7 @@ def test_profiles_bounded():
     obj = Signal(rng.uniform(-3, 3, 80), dx=0.2)
     tpl = Signal(rng.uniform(-3, 3, 11), dx=0.2)
     for tag in MULTISET_TAGS:
-        r = correlate(obj, tpl, Method(tag))
+        r = method_profile(tag, obj, tpl)
         if tag == "interiority":
             assert np.all(r.values >= 0.0) and np.all(r.values <= 1.0)
         elif "addition" not in tag:
@@ -94,7 +96,7 @@ def test_profiles_bounded():
 def test_lag_geometry_pad_covers_object():
     obj = Signal(np.ones(50), dx=0.1, x0=2.0)
     tpl = Signal(np.ones(9), dx=0.1)
-    r = correlate(obj, tpl, Method("jaccard_real"))
+    r = method_profile("jaccard_real", obj, tpl)
     assert len(r.lags) == 50
     np.testing.assert_allclose(r.lags, obj.x, atol=1e-12)
 
@@ -102,7 +104,7 @@ def test_lag_geometry_pad_covers_object():
 def test_lag_geometry_valid():
     obj = Signal(np.ones(50), dx=0.1, x0=2.0)
     tpl = Signal(np.ones(9), dx=0.1)
-    r = correlate(obj, tpl, Method("jaccard_real"), boundary="valid")
+    r = method_profile("jaccard_real", obj, tpl, boundary="valid")
     assert len(r.lags) == 42
     assert r.lags[0] == pytest.approx(2.0 + 0.4)
 
@@ -110,38 +112,55 @@ def test_lag_geometry_valid():
 def test_template_longer_than_object():
     obj = Signal(np.ones(5), dx=1.0)
     tpl = Signal(np.ones(9), dx=1.0)
-    r = correlate(obj, tpl, Method("jaccard_real"))  # pad allows it
+    r = method_profile("jaccard_real", obj, tpl)  # pad allows it
     assert len(r.lags) == 5
     with pytest.raises(DomainError):
-        correlate(obj, tpl, Method("jaccard_real"), boundary="valid")
+        method_profile("jaccard_real", obj, tpl, boundary="valid")
 
 
 def test_mismatched_dx_rejected():
     obj = Signal(np.ones(10), dx=1.0)
     tpl = Signal(np.ones(3), dx=0.5)
     with pytest.raises(AlignmentError):
-        correlate(obj, tpl, Method("coincidence"))
+        method_profile("coincidence", obj, tpl)
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(DomainError):
-        Method("fancy_new_index")
+    obj = Signal(np.ones(10), dx=1.0)
+    with pytest.raises(DomainError, match="unknown method 'fancy_new_index'"):
+        method_profile("fancy_new_index", obj, obj)
+
+
+def test_aliases_give_the_canonical_profile():
+    rng = np.random.default_rng(17)
+    obj = Signal(rng.uniform(-2, 2, 40), dx=0.5)
+    tpl = Signal(rng.uniform(-2, 2, 7), dx=0.5)
+    for alias, name in (("jaccard", "jaccard_real"), ("correlation", "classic"),
+                        ("Combined-Coincidence", "combined_coincidence")):
+        got, want = method_profile(alias, obj, tpl), method_profile(name, obj, tpl)
+        assert got.lags.tobytes() == want.lags.tobytes(), alias
+        assert got.values.tobytes() == want.values.tobytes(), alias
+
+
+def test_correlate_submodule_not_shadowed():
+    import mfcorr.correlate as m
+    assert isinstance(m, types.ModuleType) and callable(m.profiles)
 
 
 def test_invalid_boundary_rejected():
     obj = Signal(np.ones(10), dx=1.0)
     tpl = Signal(np.ones(3), dx=1.0)
     with pytest.raises(DomainError):
-        correlate(obj, tpl, Method("classic"), boundary="wrap")
+        method_profile("classic", obj, tpl, boundary="wrap")
 
 
 def test_normalized_profile():
     obj = Signal(np.ones(16), dx=1.0)
     tpl = Signal(np.ones(4), dx=1.0)
-    r = correlate_classic(obj, tpl)
+    r = method_profile("classic", obj, tpl)
     n = r.normalized()
     assert n.values.max() == pytest.approx(1.0)
-    z = correlate_classic(obj, Signal(np.zeros(4), dx=1.0))
+    z = method_profile("classic", obj, Signal(np.zeros(4), dx=1.0))
     assert z.normalized() is z  # all-zero passes through
 
 
@@ -159,8 +178,7 @@ def test_oracle_equivalence_profiles(boundary):
         obj = Signal(fv, dx=dx, x0=x0)
         tpl = Signal(gv, dx=dx)
         for tag in ALL_TAGS:
-            r = (correlate_classic(obj, tpl, boundary) if tag == "classic"
-                 else correlate(obj, tpl, Method(tag), boundary))
+            r = method_profile(tag, obj, tpl, boundary)
             lags, vals = orc.o_profile(fv, x0, dx, gv, tag, boundary)
             scale = max(1.0, float(np.abs(vals).max()) if len(vals) else 1.0)
             np.testing.assert_allclose(r.lags, lags, atol=1e-12)
@@ -174,7 +192,7 @@ def test_combined_noiseless_localization():
     obj = gen_object(spec)
     tpl = gen_template(TemplateSpec(), obj.dx)
     for tag in ("coincidence", "jaccard_real"):
-        r = correlate_combined(obj, tpl, Method(tag))
+        r = method_profile("combined_" + tag, obj, tpl)
         k = np.argmax(r.values)
         assert abs(r.lags[k] - spec.x_p) <= 2 * obj.dx + 1e-12, tag
         np.testing.assert_allclose(r.lags, obj.x, atol=1e-9)
@@ -183,15 +201,21 @@ def test_combined_noiseless_localization():
 def test_combined_zero_object():
     obj = Signal(np.zeros(64), dx=0.1)
     tpl = Signal(np.sin(np.pi * np.arange(9) / 8.0), dx=0.1)
-    r = correlate_combined(obj, tpl, Method("coincidence"))
+    r = method_profile("combined_coincidence", obj, tpl)
     assert np.all(r.values == 0.0)
 
 
-def test_combined_rejects_classic_inner():
+def test_combined_rejects_classic_inner(capsys):
     obj = Signal(np.ones(16), dx=1.0)
     tpl = Signal(np.ones(4), dx=1.0)
-    with pytest.raises(DomainError):
-        correlate_combined(obj, tpl, Method("classic"))
+    with pytest.raises(DomainError) as direct:
+        method_profile("combined_classic", obj, tpl)
+    with pytest.raises(DomainError) as sweep:
+        SweepConfig(methods=("combined_correlation",))
+    assert str(direct.value) == str(sweep.value) == (
+        "combined methods need a multiset inner method, not classic")
+    assert main(["bench", "--methods", "combined_classic"]) == 1
+    assert capsys.readouterr().err == f"error: {direct.value}\n"
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -211,8 +235,8 @@ def test_combined_smoother_under_heavy_noise():
         noisy = add_noise(gen_object(spec),
                           NoiseSpec(20, seed=123, realization=realization,
                                     multiplier=2.0))
-        direct = correlate(noisy, tpl, Method("coincidence"))
-        combined = correlate_combined(noisy, tpl, Method("coincidence"))
+        direct = method_profile("coincidence", noisy, tpl)
+        combined = method_profile("combined_coincidence", noisy, tpl)
         if _sign_changes(combined.values) < _sign_changes(direct.values):
             wins += 1
     assert wins >= 4
@@ -238,9 +262,9 @@ def test_values_do_not_depend_on_other_names(case):
     # each call adds only the sums its names read: a name's values must not
     # depend on which other names share the call
     f, tpl, names, boundary = case
-    together = {name: values for name, _, _, values in
+    together = {name: values for name, _, values in
                 profiles(f, -1.0, 0.25, tpl, names, boundary)}
     assert sorted(together) == sorted(names)
     for name in names:
-        [(_, _, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
+        [(_, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
         assert together[name].tobytes() == alone.tobytes(), name

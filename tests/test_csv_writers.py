@@ -11,7 +11,7 @@ import numpy as np
 
 from mfcorr import FeatureMatrix, PerformanceIndices, SweepConfig, SweepRecord
 from mfcorr.cli import _write_profile_csv
-from mfcorr.correlate import CorrelationResult, Method
+from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
 from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv,
@@ -100,8 +100,7 @@ def test_meta_csv_bytes(tmp_path):
 
 def test_profile_csv_bytes(tmp_path):
     path = tmp_path / "correlate_classic.csv"
-    profile = CorrelationResult(lags=[-0.01, 0.0, 0.01], values=[0.5, 1.0, -1.0 / 3.0],
-                                method=Method("classic"), boundary="pad")
+    profile = CorrelationResult(lags=[-0.01, 0.0, 0.01], values=[0.5, 1.0, -1.0 / 3.0])
     _write_profile_csv(profile, path, "# method=classic boundary=pad")
     assert path.read_bytes().decode() == (
         "# method=classic boundary=pad\n"

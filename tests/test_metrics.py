@@ -5,7 +5,7 @@ import pytest
 
 from mfcorr import (DomainError, ObjectSpec, PeakMeasurement,
                     PerformanceIndices, compute_indices, overlap_integral)
-from mfcorr.correlate import CorrelationResult, Method
+from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 
 SPEC = ObjectSpec()  # x_p=4.5, x_s=1.8, h_p/h_s = 2
@@ -13,9 +13,7 @@ SPEC = ObjectSpec()  # x_p=4.5, x_s=1.8, h_p/h_s = 2
 
 def profile(values, dx=0.1, x0=0.0):
     values = np.asarray(values, dtype=float)
-    return CorrelationResult(lags=x0 + dx * np.arange(values.size),
-                             values=values, method=Method("classic"),
-                             boundary="pad")
+    return CorrelationResult(lags=x0 + dx * np.arange(values.size), values=values)
 
 
 def test_perfect_result_is_definitional():

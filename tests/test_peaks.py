@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from mfcorr import DomainError, ObjectSpec, PeakMeasurement, detect_peaks
-from mfcorr.correlate import CorrelationResult, Method
+from mfcorr.correlate import CorrelationResult
 from mfcorr.peaks import width_at_fraction
 
 SPEC = ObjectSpec()  # exclusion radius 3*max(0.3, 0.15) = 0.9
@@ -16,8 +16,7 @@ SPEC = ObjectSpec()  # exclusion radius 3*max(0.3, 0.15) = 0.9
 def profile(values, dx=1.0, x0=0.0):
     values = np.asarray(values, dtype=float)
     lags = x0 + dx * np.arange(values.size)
-    return CorrelationResult(lags=lags, values=values,
-                             method=Method("classic"), boundary="pad")
+    return CorrelationResult(lags=lags, values=values)
 
 
 def triangle(center, half_width_samples, height, n, dx=1.0):
@@ -138,12 +137,11 @@ def test_peak_measurement_flag():
 
 
 def test_benchmark_profile_lands_on_grid():
-    from mfcorr import Method as M
-    from mfcorr import correlate, gen_object, gen_template, TemplateSpec
+    from mfcorr import gen_object, gen_template, method_profile, TemplateSpec
     spec = ObjectSpec()
     obj = gen_object(spec)
     tpl = gen_template(TemplateSpec(), obj.dx)
-    pm = detect_peaks(correlate(obj, tpl, M("coincidence")).normalized(), spec)
+    pm = detect_peaks(method_profile("coincidence", obj, tpl).normalized(), spec)
     assert pm.x1 == pytest.approx(spec.x_p, abs=spec.grid[1] / spec.grid[2])
     assert pm.x2 == pytest.approx(spec.x_s, abs=2 * obj.dx)
 
