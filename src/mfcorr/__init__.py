@@ -17,30 +17,30 @@ from .indices import (abs_union_max, coincidence_addition, coincidence_real,
 from .kernels import ACTIVE_BACKEND
 from .metrics import (INDEX_NAMES, PerformanceIndices, compute_indices,
                       overlap_integral)
-from .pca import (AnalysisError, FeatureMatrix, PcaModel,
-                  feature_matrix_from_records, group_centroids, group_dispersion,
-                  jacobi_eigh, load_feature_matrix, pca_fit, project)
+from .pca import (AnalysisError, FeatureMatrix, PcaModel, group_centroids,
+                  group_dispersion, jacobi_eigh, level_matrix, load_feature_matrix,
+                  pca_fit, project, read_records)
 from .peaks import PeakMeasurement, detect_peaks, width_at_fraction
 from .signal import AlignmentError, DomainError, Multiset, Signal
-from .sweep import (DEFAULT_METHODS, Aggregate, SweepConfig, SweepRecord,
-                    SweepResult, run_sweep, write_aggregates_csv, write_records_csv)
+from .sweep import (DEFAULT_METHODS, Aggregate, Records, SweepConfig, SweepResult,
+                    run_sweep, write_aggregates_csv, write_records_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND", "AlignmentError", "AnalysisError", "Aggregate",
-    "BOUNDARIES", "CorrelationResult", "DEFAULT_GRID", "DEFAULT_METHODS",
+    "ACTIVE_BACKEND", "Aggregate", "AlignmentError", "AnalysisError", "BOUNDARIES",
+    "CorrelationResult", "DEFAULT_GRID", "DEFAULT_METHODS",
     "DEFAULT_TEMPLATE_AMPLITUDE", "DEFAULT_TEMPLATE_WIDTH", "DomainError",
-    "FeatureMatrix", "INDEX_NAMES", "Multiset",
-    "N_NOISE_LEVELS", "NoiseSpec", "ObjectSpec", "PcaModel",
-    "PeakMeasurement", "PerformanceIndices", "Signal", "SweepConfig",
-    "SweepRecord", "SweepResult", "TemplateSpec",
+    "FeatureMatrix", "INDEX_NAMES", "Multiset", "N_NOISE_LEVELS", "NoiseSpec",
+    "ObjectSpec", "PcaModel", "PeakMeasurement", "PerformanceIndices", "Records",
+    "Signal", "SweepConfig", "SweepResult", "TemplateSpec",
     "abs_union_max", "add_noise", "canonical_method", "coincidence_addition",
-    "coincidence_real", "compute_indices", "detect_peaks", "feature_matrix_from_records",
-    "gen_object", "gen_template", "group_centroids", "group_dispersion", "inner_product",
+    "coincidence_real", "compute_indices", "detect_peaks", "gen_object",
+    "gen_template", "group_centroids", "group_dispersion", "inner_product",
     "interiority_real", "jaccard_addition", "jaccard_real", "jacobi_eigh",
-    "load_feature_matrix", "method_profile", "multiset_jaccard", "noise_rng",
-    "overlap_integral", "pca_fit", "project", "run_sweep", "s_minus", "s_plus",
-    "s_pm", "set_jaccard", "signed_min_intersection", "width_at_fraction",
-    "write_aggregates_csv", "write_records_csv",
+    "level_matrix", "load_feature_matrix", "method_profile", "multiset_jaccard",
+    "noise_rng", "overlap_integral", "pca_fit", "project", "read_records",
+    "run_sweep", "s_minus", "s_plus", "s_pm", "set_jaccard",
+    "signed_min_intersection", "width_at_fraction", "write_aggregates_csv",
+    "write_records_csv",
 ]

@@ -204,8 +204,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
     realizations = 50 if args.desk_scale else args.realizations
-    methods = _parse_methods(args.methods) if args.methods else DEFAULT_METHODS
-    cfg = SweepConfig(methods=methods, object_spec=spec,
+    cfg = SweepConfig(methods=_parse_methods(args.methods), object_spec=spec,
                       template_spec=TemplateSpec(args.template_width,
                                                  args.template_amplitude),
                       levels=levels, realizations=realizations,

@@ -1,8 +1,8 @@
 """Principal component analysis of per-realization merit figures.
 
-A records file is parsed once into packed columns (read_records); each noise
-level's feature matrix is then selected from them (level_matrix), and
-in-memory sweep records go through the same selection.  Columns are always
+A records file is parsed once into the sweep's Records table (read_records);
+each noise level's feature matrix is then selected from it (level_matrix),
+whether the table was read from a file or held in memory.  Columns are always
 standardized (centered and scaled to unit variance) before the fit, and
 np.linalg.eigh decomposes their covariance.
 """
@@ -10,15 +10,15 @@ np.linalg.eigh decomposes their covariance.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .metrics import INDEX_NAMES
-from .sweep import SweepRecord, write_csv
+from .sweep import Records, write_csv
 
 DEFAULT_PCA_METHODS = ("classic", "jaccard_real", "coincidence")
 
@@ -33,23 +33,21 @@ class FeatureMatrix:
 
     values: np.ndarray
     labels: tuple[str, ...]
-    columns: tuple[str, ...] = INDEX_NAMES
     n_dropped: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 2 or self.values.shape[0] != len(self.labels):
             raise AnalysisError("feature matrix shape does not match labels")
-        if self.values.shape[0] < 2 or self.values.shape[1] < 2:
-            raise AnalysisError("need at least 2 rows and 2 columns")
+        if self.values.shape[0] < 2 or self.values.shape[1] != len(INDEX_NAMES):
+            raise AnalysisError(f"need at least 2 rows and {len(INDEX_NAMES)} columns")
         if not np.all(np.isfinite(self.values)):
             raise AnalysisError("retained rows must not contain missing values")
 
 
 @dataclass(frozen=True)
 class PcaModel:
-    columns: tuple[str, ...]        # full input schema
-    kept: tuple[str, ...]           # columns surviving the zero-variance filter
+    kept: tuple[str, ...]           # INDEX_NAMES surviving the zero-variance filter
     means: np.ndarray               # per kept column
     stds: np.ndarray                # per kept column (ddof=1)
     eigenvalues: np.ndarray         # all, non-increasing
@@ -57,76 +55,54 @@ class PcaModel:
     variance_explained: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class RecordColumns:
-    """Records as packed columns: per row a method code, a level and the six figures."""
-
-    methods: tuple[str, ...]        # method name of each code
-    codes: np.ndarray               # (N,) method codes
-    levels: np.ndarray              # (N,) noise levels
-    figures: np.ndarray             # (N, 6) merit figures, nan where missing
-
-
-def feature_matrix_from_records(records: list[SweepRecord], level: int,
-                                methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
-    """Collect complete index vectors for one noise level; incomplete rows are dropped."""
-    names: dict[str, int] = {}
-    codes = [names.setdefault(rec.method, len(names)) for rec in records]
-    figures = [[math.nan if v is None else v for v in map(rec.index_value, INDEX_NAMES)]
-               for rec in records]
-    columns = RecordColumns(tuple(names), np.array(codes, dtype=np.int64),
-                            np.array([rec.level for rec in records], dtype=np.int64),
-                            np.array(figures, dtype=np.float64).reshape(-1, len(INDEX_NAMES)))
-    return level_matrix(columns, level, methods)
-
-
-def read_records(path) -> RecordColumns:
+def read_records(path) -> Records:
     """Parse and check every data row of a records CSV written by the sweep."""
     with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        # row 1 is the first data row below the header (row 0); comment (#) and
+        # blank lines are not fed to the reader, so they are not counted
+        reader = csv.reader(line for line in fh if line[0] not in "#\r\n")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise AnalysisError(f"records file {path} is empty") from None
-        for col in ("method", "level") + INDEX_NAMES:
-            if col not in header:
-                raise AnalysisError(f"records file missing required column {col!r}")
-        method_pos, level_pos = header.index("method"), header.index("level")
-        figure_pos = [header.index(name) for name in INDEX_NAMES]
-        names: dict[str, int] = {}
-        codes, levels, figures = array("q"), array("q"), array("d")
-        blank = 0
-        for line in reader:
-            if not line:
-                blank += 1
-                continue
-            try:
-                levels.append(int(line[level_pos]))
-                figures.extend([float(line[i]) for i in figure_pos])
-                codes.append(names.setdefault(line[method_pos], len(names)))
-            except (IndexError, ValueError):
-                # row 1 is the first data row below the header; comment and blank
-                # lines are not counted
-                raise AnalysisError(
-                    f"records file {path}, row {reader.line_num - 1 - blank}: expected"
-                    f" {len(header)} fields with a numeric level and figures,"
-                    f" got {','.join(line)!r}") from None
-    return RecordColumns(tuple(names), np.frombuffer(codes, dtype=np.int64),
-                         np.frombuffer(levels, dtype=np.int64),
-                         np.frombuffer(figures).reshape(-1, len(INDEX_NAMES)))
+            header = next(reader, None)
+            if header is None:
+                raise AnalysisError(f"records file {path} is empty")
+            for col in ("method", "level", "realization") + INDEX_NAMES:
+                if col not in header:
+                    raise AnalysisError(f"records file missing required column {col!r}")
+            method_pos, level_pos = header.index("method"), header.index("level")
+            realization_pos = header.index("realization")
+            take_figures = itemgetter(*(header.index(name) for name in INDEX_NAMES))
+            names: dict[str, int] = {}
+            codes, levels, realizations, figures = array("q"), array("q"), array("q"), array("d")
+            for line in reader:
+                try:
+                    levels.append(int(line[level_pos]))
+                    realizations.append(int(line[realization_pos]))
+                    figures.extend(map(float, take_figures(line)))
+                    codes.append(names.setdefault(line[method_pos], len(names)))
+                except (IndexError, ValueError):
+                    raise AnalysisError(
+                        f"records file {path}, row {reader.line_num - 1}: expected"
+                        f" {len(header)} fields with a numeric level, realization and"
+                        f" figures, got {','.join(line)!r}") from None
+        except csv.Error as exc:
+            raise AnalysisError(
+                f"records file {path}, row {reader.line_num - 1}: {exc}") from None
+    return Records(tuple(names), *(np.frombuffer(a, dtype=np.int64)
+                                   for a in (codes, levels, realizations)),
+                   np.frombuffer(figures).reshape(-1, len(INDEX_NAMES)))
 
 
-def level_matrix(columns: RecordColumns, level: int,
+def level_matrix(records: Records, level: int,
                  methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
     """Feature matrix of one level: the complete rows of the wanted methods, in row order."""
-    wanted = [code for code, name in enumerate(columns.methods) if name in methods]
-    selected = (columns.levels == level) & np.isin(columns.codes, wanted)
-    complete = np.isfinite(columns.figures).all(axis=1)
+    wanted = [code for code, name in enumerate(records.methods) if name in methods]
+    selected = (records.levels == level) & np.isin(records.codes, wanted)
+    complete = np.isfinite(records.figures).all(axis=1)
     keep = selected & complete
     if np.count_nonzero(keep) < 2:
         raise AnalysisError(f"not enough complete rows at level {level}")
-    labels = tuple(columns.methods[code] for code in columns.codes[keep])
-    return FeatureMatrix(columns.figures[keep], labels, INDEX_NAMES,
+    labels = tuple(records.methods[code] for code in records.codes[keep])
+    return FeatureMatrix(records.figures[keep], labels,
                          int(np.count_nonzero(selected & ~complete)))
 
 
@@ -162,7 +138,7 @@ def pca_fit(m: FeatureMatrix) -> PcaModel:
     stds = x.std(axis=0, ddof=1)
     keep = stds > 1e-12 * np.maximum(1.0, np.abs(means))
     if not np.all(keep):
-        dropped = [c for c, k in zip(m.columns, keep) if not k]
+        dropped = [c for c, k in zip(INDEX_NAMES, keep) if not k]
         warnings.warn(f"dropping zero-variance columns: {dropped}", stacklevel=2)
     if int(keep.sum()) < 2:
         raise AnalysisError("fewer than 2 usable columns after cleaning")
@@ -174,16 +150,14 @@ def pca_fit(m: FeatureMatrix) -> PcaModel:
         raise AnalysisError("covariance has no variance to explain")
     explained = (float(max(eigenvalues[0], 0.0) / total),
                  float(max(eigenvalues[1], 0.0) / total))
-    kept = tuple(c for c, k in zip(m.columns, keep) if k)
-    return PcaModel(tuple(m.columns), kept, means[keep], stds[keep],
+    kept = tuple(c for c, k in zip(INDEX_NAMES, keep) if k)
+    return PcaModel(kept, means[keep], stds[keep],
                     eigenvalues, vectors[:, :2].T.copy(), explained)
 
 
 def project(m: FeatureMatrix, model: PcaModel) -> list[tuple[str, float, float]]:
     """Rows of m projected on the model's two axes, as (label, pc1, pc2)."""
-    if tuple(m.columns) != model.columns:
-        raise AnalysisError(f"column schema mismatch: {m.columns} vs {model.columns}")
-    keep = [i for i, c in enumerate(m.columns) if c in model.kept]
+    keep = [i for i, c in enumerate(INDEX_NAMES) if c in model.kept]
     xk = (m.values[:, keep] - model.means) / model.stds
     scores = xk @ model.components.T
     return [(label, float(s[0]), float(s[1])) for label, s in zip(m.labels, scores)]
@@ -223,7 +197,7 @@ def write_projection_csv(projections: list[tuple[str, float, float]], path,
 def write_meta_csv(model: PcaModel, m: FeatureMatrix,
                    dispersions: dict[str, float], path,
                    comment: str | None = None) -> None:
-    dropped_cols = [c for c in model.columns if c not in model.kept]
+    dropped_cols = [c for c in INDEX_NAMES if c not in model.kept]
     rows = [
         ("variance_explained_1", model.variance_explained[0]),
         ("variance_explained_2", model.variance_explained[1]),

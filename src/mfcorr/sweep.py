@@ -13,7 +13,6 @@ function of its configuration.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .correlate import (BOUNDARIES, CorrelationResult, canonical_method,  # noqa
 from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, add_noise,
                          gen_object, gen_template)
 from .indices import EPS_DENOM
-from .metrics import INDEX_NAMES, PerformanceIndices, compute_indices
+from .metrics import INDEX_NAMES, compute_indices
 from .peaks import detect_peaks
 from .signal import DomainError
 
@@ -65,22 +64,23 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    method: str
-    level: int
-    realization: int
-    indices: PerformanceIndices | None  # None when even the primary peak failed
+class Records:
+    """Sweep records as one packed table, a row per (method, level, realization) cell.
 
-    @property
-    def primary_found(self) -> bool:
-        return self.indices is not None
+    figures holds the six merit figures in INDEX_NAMES order, nan where one is
+    missing.  A nan r_xp means the primary peak was not found and a nan r_h the
+    secondary, so primary_found and secondary_found are read from them.  run_sweep
+    orders the rows by level, then realization, then method.
+    """
 
-    @property
-    def secondary_found(self) -> bool:
-        return self.indices is not None and self.indices.r_h is not None
+    methods: tuple[str, ...]        # method name of each code
+    codes: np.ndarray               # (N,) int64 method codes
+    levels: np.ndarray              # (N,) int64 noise levels
+    realizations: np.ndarray        # (N,) int64
+    figures: np.ndarray             # (N, 6) float64
 
-    def index_value(self, name: str) -> float | None:
-        return None if self.indices is None else getattr(self.indices, name)
+    def __len__(self) -> int:
+        return self.codes.size
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,20 @@ class Aggregate:
 @dataclass
 class SweepResult:
     config: SweepConfig
-    records: list[SweepRecord]
+    records: Records
     aggregates: dict[tuple[str, int], dict[str, Aggregate]]
 
     def aggregate(self, method: str, level: int, index: str) -> Aggregate:
         return self.aggregates[(canonical_method(method), level)][index]
 
 
-def _aggregate_cell(records: list[SweepRecord]) -> dict[str, Aggregate]:
+def _aggregate_cell(figures: np.ndarray) -> dict[str, Aggregate]:
     out: dict[str, Aggregate] = {}
-    for name in INDEX_NAMES:
-        values = [v for v in (r.index_value(name) for r in records) if v is not None]
-        if not values:
+    for name, column in zip(INDEX_NAMES, figures.T):
+        arr = column[~np.isnan(column)]
+        if not arr.size:
             out[name] = Aggregate(math.nan, math.nan, 0)
             continue
-        arr = np.asarray(values)
         # equal values (one alone included) have no spread; report 0, not NaN
         # or the rounding of a mean that misses the value by an ulp
         std = float(np.std(arr, ddof=1)) if np.any(arr != arr[0]) else 0.0
@@ -117,61 +116,64 @@ def _aggregate_cell(records: list[SweepRecord]) -> dict[str, Aggregate]:
     return out
 
 
-def aggregate_records(records: list[SweepRecord]) -> dict[tuple[str, int], dict[str, Aggregate]]:
-    cells: dict[tuple[str, int], list[SweepRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.method, rec.level), []).append(rec)
-    return {key: _aggregate_cell(cell) for key, cell in cells.items()}
+def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggregate]]:
+    """Statistics per (method, level) cell, cells in order of their first row."""
+    cells = dict.fromkeys(zip(records.codes.tolist(), records.levels.tolist()))
+    return {(records.methods[code], level): _aggregate_cell(
+                records.figures[(records.codes == code) & (records.levels == level)])
+            for code, level in cells}
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute the full noise sweep described by cfg."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
-    records: list[SweepRecord] = []
-    for level in cfg.levels:
+    shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
+    # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
+    figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
+    for block, level in zip(figures, cfg.levels):
         noisy = np.stack([
             add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
             for r in range(cfg.realizations)])
-        # cells[r][i]: the record of realization r under cfg.methods[i]
-        cells = [[None] * len(cfg.methods) for _ in range(cfg.realizations)]
         for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
                                            cfg.methods, cfg.boundary):
             i = cfg.methods.index(name)
-            for r, row in enumerate(values):
-                profile = CorrelationResult(lags, row).normalized()
-                cells[r][i] = SweepRecord(name, level, r, _cell_indices(profile, cfg))
-        records.extend(rec for cell in cells for rec in cell)
+            for cell, row in zip(block, values):
+                cell[i] = _cell_figures(CorrelationResult(lags, row).normalized(), cfg)
+    level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
+    records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
+                      realizations, figures.reshape(-1, len(INDEX_NAMES)))
     return SweepResult(cfg, records, aggregate_records(records))
 
 
-def _cell_indices(profile: CorrelationResult, cfg: SweepConfig) -> PerformanceIndices | None:
+def _cell_figures(profile: CorrelationResult, cfg: SweepConfig) -> list[float]:
+    """The cell's six merit figures, nan where missing (all of them if detection failed)."""
     try:
         pm = detect_peaks(profile, cfg.object_spec)
-        return compute_indices(pm, cfg.object_spec, profile)
+        indices = compute_indices(pm, cfg.object_spec, profile)
     except DomainError:
-        return None
+        return [math.nan] * len(INDEX_NAMES)
+    return [math.nan if v is None else v for v in indices.as_dict().values()]
 
 
 # ---------------------------------------------------------------------------
 # CSV serialization (column order fixed; floats at 9 significant digits)
 
-def _fmt(value: float | None) -> str:
+def _fmt(value: float) -> str:
     # format() writes every NaN, whatever its sign bit, as "nan"
-    return "nan" if value is None else format(value, ".9g")
+    return format(value, ".9g")
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
     """Write an optional `#` comment line, the header and one line per row.
 
-    Float and None cells go through _fmt (None and nan read `nan`); any other
-    cell (a name, an integer count) is written with str().
+    Float cells go through _fmt (nan reads `nan`); any other cell (a name, an
+    integer count) is written with str().
     """
     lines = [comment] if comment else []
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join([_fmt(v) if v is None or isinstance(v, float) else str(v)
-                               for v in row]))
+        lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -196,10 +198,11 @@ def config_comment(cfg: SweepConfig) -> str:
 
 
 def write_records_csv(result: SweepResult, path) -> None:
-    rows = ([rec.method, rec.level, rec.realization]
-            + [rec.index_value(name) for name in INDEX_NAMES]
-            + [int(rec.primary_found), int(rec.secondary_found)]
-            for rec in result.records)
+    rec = result.records
+    found = ~np.isnan(rec.figures[:, [INDEX_NAMES.index("r_xp"), INDEX_NAMES.index("r_h")]])
+    rows = ([rec.methods[code], level, r, *figures, *flags] for code, level, r, figures, flags
+            in zip(rec.codes.tolist(), rec.levels.tolist(), rec.realizations.tolist(),
+                   rec.figures.tolist(), found.astype(int).tolist()))
     write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
 
 
@@ -211,13 +214,13 @@ def aggregate_columns() -> list[str]:
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
-    cell_sizes = Counter((rec.method, rec.level) for rec in result.records)
+    rec = result.records
     rows = []
     for level in result.config.levels:
         for method in result.config.methods:
-            key = (method, level)
-            aggs = result.aggregates[key]
-            row = [method, level, cell_sizes[key]]
+            aggs = result.aggregates[(method, level)]
+            cell = (rec.codes == rec.methods.index(method)) & (rec.levels == level)
+            row = [method, level, np.count_nonzero(cell)]
             for name in INDEX_NAMES:
                 agg = aggs[name]
                 row += [agg.mean, agg.std, agg.n]

@@ -22,7 +22,6 @@ from mfcorr import (
     coincidence_real,
     compute_indices,
     detect_peaks,
-    feature_matrix_from_records,
     gen_object,
     gen_template,
     group_centroids,
@@ -30,6 +29,7 @@ from mfcorr import (
     interiority_real,
     jaccard_addition,
     jaccard_real,
+    level_matrix,
     method_profile,
     pca_fit,
     project,
@@ -283,7 +283,7 @@ def _criterion_8(sweep, scale=""):
     for v in (1, 10, 20):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            matrix = feature_matrix_from_records(result.records, v)
+            matrix = level_matrix(result.records, v)
             model = pca_fit(matrix)
             projections = project(matrix, model)
             disp = group_dispersion(projections)

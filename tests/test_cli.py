@@ -221,6 +221,7 @@ def test_config_file_bad_value(tmp_path, capsys):
     (["pca"], "the following arguments are required: --records"),
     ([], "the following arguments are required: command"),
     (["bench", "--threads", "2"], "unrecognized arguments: --threads 2"),
+    (["bench", "--methods", ""], "no methods given"),
 ])
 def test_bad_flag_is_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
@@ -318,6 +319,18 @@ def test_pca_malformed_records_row_names_row(tmp_path, capsys, row):
     assert "Traceback" not in err
     # blank lines are not data rows, so the bad row is the 2nd either way
     assert str(records) in err and "row 2" in err and repr(row.lstrip("\n")) in err
+
+
+def test_pca_oversized_records_field_names_row(tmp_path, capsys):
+    # the csv module refuses a field longer than its limit (131,072 characters)
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(RECORD_COLUMNS) + "\n"
+                       "classic,1,0,1,2,3,4,5,6,1,1\n" + "x" * 200_000 + ",1,0\n")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(records) in err and "row 2" in err and "field larger than field limit" in err
 
 
 def _write_records(path, levels, seed, r_xp=None):

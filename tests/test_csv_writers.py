@@ -9,13 +9,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mfcorr import FeatureMatrix, PerformanceIndices, SweepConfig, SweepRecord
+from mfcorr import FeatureMatrix, PerformanceIndices, SweepConfig
 from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
 from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv,
                           write_records_csv)
+
+from tables import records_of
 
 CONFIG = SweepConfig(methods=("classic",), levels=(2,), realizations=2, base_seed=5)
 COMMENT = ("# methods=classic levels=2 realizations=2 seed=5 noise_multiplier=1"
@@ -27,8 +29,8 @@ def _result():
     full = PerformanceIndices(r_xp=0.125, r_wp=1.0 / 3.0, r_xs=-0.25, r_h=1.5e-05,
                               r_ws=2.0, alpha_overlap=-0.0123456789123)
     no_secondary = PerformanceIndices(r_xp=-0.0625, r_wp=0.5)
-    records = [SweepRecord("classic", 2, 0, full),
-               SweepRecord("classic", 2, 1, no_secondary)]
+    records = records_of([("classic", 2, 0, full),
+                          ("classic", 2, 1, no_secondary)])
     return SweepResult(CONFIG, records, aggregate_records(records))
 
 
@@ -72,7 +74,6 @@ def test_meta_csv_bytes(tmp_path):
     path = tmp_path / "pca_meta_2.csv"
     # write_meta_csv reads only these fields of the fitted model
     model = SimpleNamespace(
-        columns=INDEX_NAMES,
         kept=tuple(c for c in INDEX_NAMES if c != "r_h"),
         eigenvalues=np.array([3.0, 0.5, 1.0 / 3.0, 0.1, 2e-17]),
         variance_explained=(0.75, 0.125))

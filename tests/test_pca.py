@@ -1,5 +1,6 @@
 """Principal component analysis: the eigensolver (np.linalg.eigh behind jacobi_eigh),
-fitting, projection, and the two feature-matrix builders (records file, in-memory records)."""
+fitting, projection, and the records table (read_records) and its per-level rows
+(level_matrix), from a records file or held in memory."""
 
 import math
 import warnings
@@ -11,21 +12,23 @@ from mfcorr import (
     AnalysisError,
     FeatureMatrix,
     PerformanceIndices,
+    Records,
     SweepConfig,
-    SweepRecord,
-    feature_matrix_from_records,
     group_centroids,
     group_dispersion,
     jacobi_eigh,
+    level_matrix,
     load_feature_matrix,
     pca_fit,
     project,
+    read_records,
     run_sweep,
     write_records_csv,
 )
 from mfcorr.metrics import INDEX_NAMES
 
 from oracles import o_eigvals_2x2, o_eigvals_3x3
+from tables import assert_records_equal, figures_of, records_of
 
 
 def _labels(n):
@@ -180,15 +183,6 @@ def test_duplicated_rows_keep_fit_finite():
     assert scores[0][1:] == pytest.approx(scores[5][1:], abs=1e-12)
 
 
-def test_project_rejects_schema_mismatch():
-    rng = np.random.default_rng(27)
-    m = FeatureMatrix(rng.normal(size=(20, 6)), _labels(20))
-    model = pca_fit(m)
-    other = FeatureMatrix(rng.normal(size=(20, 3)), _labels(20), columns=("a", "b", "c"))
-    with pytest.raises(AnalysisError):
-        project(other, model)
-
-
 # ---------------------------------------------------------------------------
 # Feature matrix construction and validation
 
@@ -208,14 +202,14 @@ def test_feature_matrix_validation():
 
 def _record(method, level, realization, value, complete=True):
     if value is None:
-        return SweepRecord(method, level, realization, None)
+        return method, level, realization, None
     idx = PerformanceIndices(
         r_xp=value, r_wp=value + 1,
         r_xs=value + 2 if complete else None,
         r_h=value + 3 if complete else None,
         r_ws=value + 4 if complete else None,
         alpha_overlap=value + 5 if complete else None)
-    return SweepRecord(method, level, realization, idx)
+    return method, level, realization, idx
 
 
 def test_feature_matrix_from_records_filters_and_counts():
@@ -228,7 +222,7 @@ def test_feature_matrix_from_records_filters_and_counts():
         _record("interiority", 5, 0, 0.9),              # unrequested method: ignored
         _record("coincidence", 5, 0, 0.4),
     ]
-    m = feature_matrix_from_records(records, level=5)
+    m = level_matrix(records_of(records), level=5)
     assert m.labels == ("classic", "classic", "coincidence")
     assert m.n_dropped == 2
     assert m.values.shape == (3, 6)
@@ -239,7 +233,7 @@ def test_feature_matrix_from_records_filters_and_counts():
 def test_feature_matrix_from_records_needs_two_rows():
     records = [_record("classic", 5, 0, 0.1)]
     with pytest.raises(AnalysisError, match="level 5"):
-        feature_matrix_from_records(records, level=5)
+        level_matrix(records_of(records), level=5)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +290,28 @@ def test_file_and_in_memory_records_give_the_same_matrix(tmp_path):
     cfg = SweepConfig(methods=("classic", "jaccard_real", "coincidence"),
                       levels=(2, 12), realizations=4, base_seed=3)
     result = run_sweep(cfg)
-    result.records += [_record("classic", 12, 4, 0.5, complete=False),
-                       _record("coincidence", 12, 4, None)]
+    # a no-secondary row and a failed row, appended to the sweep's table
+    extra = [_record("classic", 12, 4, 0.5, complete=False), _record("coincidence", 12, 4, None)]
+    rec = result.records
+    result.records = Records(
+        rec.methods,
+        np.append(rec.codes, [rec.methods.index(row[0]) for row in extra]),
+        np.append(rec.levels, [row[1] for row in extra]),
+        np.append(rec.realizations, [row[2] for row in extra]),
+        np.vstack([rec.figures, [figures_of(row[3]) for row in extra]]))
     path = tmp_path / "records.csv"
     write_records_csv(result, path)
+
+    # the whole table comes back: names, codes, levels, realizations, nan
+    # pattern, and the figures as written at 9 significant digits
+    rec = result.records
+    at_9_digits = np.vectorize(lambda v: float(format(v, ".9g")))(rec.figures)
+    assert np.isnan(at_9_digits[-2:]).sum() == 4 + 6
+    assert_records_equal(read_records(path), Records(rec.methods, rec.codes, rec.levels,
+                                                     rec.realizations, at_9_digits))
+
     for level in cfg.levels:
-        in_memory = feature_matrix_from_records(result.records, level)
+        in_memory = level_matrix(result.records, level)
         from_file = load_feature_matrix(path, level)
         assert from_file.labels == in_memory.labels
         assert from_file.n_dropped == in_memory.n_dropped == (2 if level == 12 else 0)

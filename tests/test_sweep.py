@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mfcorr import (BOUNDARIES, DomainError, NoiseSpec, ObjectSpec,
-                    PerformanceIndices, SweepConfig, SweepRecord, TemplateSpec,
+from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
+                    PerformanceIndices, SweepConfig, TemplateSpec,
                     add_noise, canonical_method, compute_indices, detect_peaks,
                     gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
 from mfcorr.correlate import METHOD_TAGS
 from mfcorr.sweep import RECORD_COLUMNS, aggregate_columns, aggregate_records
+
+from tables import assert_records_equal, records_of
 
 SMALL = SweepConfig(methods=("classic", "coincidence"), levels=(0, 4),
                     realizations=3, base_seed=11)
@@ -34,10 +36,9 @@ def test_degenerate_sweep_aggregates_equal_record():
                       base_seed=0)
     res = run_sweep(cfg)
     assert len(res.records) == 1
-    rec = res.records[0]
     for name in ("r_xp", "r_h", "r_wp"):
         agg = res.aggregate("coincidence", 0, name)
-        assert agg.mean == rec.index_value(name)
+        assert agg.mean == res.records.figures[0, INDEX_NAMES.index(name)]
         assert agg.std == 0.0
         assert agg.n == 1
 
@@ -46,8 +47,7 @@ def test_sweep_determinism():
     a = run_sweep(SMALL)
     b = run_sweep(SMALL)
     assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra == rb
+    assert_records_equal(a.records, b.records)
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -70,8 +70,8 @@ def test_sweep_records_equal_per_cell_path(boundary):
                                               cfg.object_spec, profile)
                 except DomainError:
                     indices = None
-                want.append(SweepRecord(name, level, realization, indices))
-    assert run_sweep(cfg).records == want
+                want.append((name, level, realization, indices))
+    assert_records_equal(run_sweep(cfg).records, records_of(want))
 
 
 def test_noise_shared_across_methods():
@@ -95,7 +95,7 @@ def test_level_zero_has_zero_std():
 def test_equal_values_have_zero_std():
     # np.std(np.full(50, 0.1), ddof=1) is 2.8e-17: the mean misses 0.1 by an ulp
     same = PerformanceIndices(r_xp=0.1, r_wp=0.1)
-    agg = aggregate_records([SweepRecord("classic", 0, r, same) for r in range(50)])
+    agg = aggregate_records(records_of([("classic", 0, r, same) for r in range(50)]))
     assert agg[("classic", 0)]["r_xp"].std == 0.0
     assert agg[("classic", 0)]["r_xp"].mean == pytest.approx(0.1)
 
@@ -118,11 +118,11 @@ def test_exclusion_counting_synthetic():
     ok = PerformanceIndices(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3,
                             alpha_overlap=0.4)
     no_secondary = PerformanceIndices(r_xp=0.2, r_wp=0.4)
-    records = [
-        SweepRecord("coincidence", 5, 0, ok),
-        SweepRecord("coincidence", 5, 1, no_secondary),
-        SweepRecord("coincidence", 5, 2, None),  # total failure
-    ]
+    records = records_of([
+        ("coincidence", 5, 0, ok),
+        ("coincidence", 5, 1, no_secondary),
+        ("coincidence", 5, 2, None),  # total failure
+    ])
     agg = aggregate_records(records)[("coincidence", 5)]
     assert agg["r_xp"].n == 2
     assert agg["r_xp"].mean == pytest.approx(0.15)
@@ -130,7 +130,7 @@ def test_exclusion_counting_synthetic():
     assert agg["r_h"].mean == 2.0
     assert agg["r_h"].std == 0.0
     # an index with no surviving values at all
-    empty = aggregate_records([SweepRecord("x", 1, 0, None)])[("x", 1)]
+    empty = aggregate_records(records_of([("x", 1, 0, None)]))[("x", 1)]
     assert empty["r_xp"].n == 0
     assert math.isnan(empty["r_xp"].mean)
 
@@ -156,14 +156,15 @@ def test_records_csv_round_trip(tmp_path):
     assert lines[1] == ",".join(RECORD_COLUMNS)
     assert len(lines) == 2 + len(res.records)
     # parse a couple of rows back and compare against the records
+    rec = res.records
     for lineno in (2, 3, len(lines) - 1):
         parts = lines[lineno].split(",")
-        rec = res.records[lineno - 2]
-        assert parts[0] == rec.method
-        assert int(parts[1]) == rec.level
-        assert int(parts[2]) == rec.realization
+        i = lineno - 2
+        assert parts[0] == rec.methods[rec.codes[i]]
+        assert int(parts[1]) == rec.levels[i]
+        assert int(parts[2]) == rec.realizations[i]
         got_rxp = float(parts[3])
-        assert got_rxp == pytest.approx(rec.index_value("r_xp"), rel=1e-8)
+        assert got_rxp == pytest.approx(rec.figures[i, INDEX_NAMES.index("r_xp")], rel=1e-8)
     # 9 significant digits keep round-tripped values tight
     assert "nan" not in lines[2].split(",")[3]
 
@@ -189,9 +190,9 @@ def test_aggregates_csv_structure(tmp_path):
 
 
 def test_missing_secondary_serialized_as_nan(tmp_path):
-    rec = SweepRecord("classic", 2, 0, PerformanceIndices(r_xp=0.1, r_wp=0.2))
+    rec = records_of([("classic", 2, 0, PerformanceIndices(r_xp=0.1, r_wp=0.2))])
     from mfcorr.sweep import SweepResult
-    res = SweepResult(SMALL, [rec], aggregate_records([rec]))
+    res = SweepResult(SMALL, rec, aggregate_records(rec))
     path = tmp_path / "r.csv"
     write_records_csv(res, path)
     row = path.read_text().splitlines()[2].split(",")
