@@ -12,8 +12,8 @@ import numpy as np
 from . import pca as pca_mod
 from .correlate import BOUNDARIES, CorrelationResult, canonical_method, method_profile
 from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
-                         DEFAULT_TEMPLATE_WIDTH, NoiseSpec, ObjectSpec,
-                         TemplateSpec, add_noise, gen_object, gen_template)
+                         DEFAULT_TEMPLATE_WIDTH, N_NOISE_LEVELS, NoiseSpec,
+                         ObjectSpec, TemplateSpec, add_noise, gen_object, gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
 from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, run_sweep, write_aggregates_csv,
@@ -73,7 +73,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    """Comma list with ranges: "0,3,5-8" -> (0, 3, 5, 6, 7, 8)."""
+    """Comma list with ranges: "0,3,5-8" -> (0, 3, 5, 6, 7, 8); ranges checked before expansion."""
     levels: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -87,6 +87,8 @@ def _parse_levels(text: str) -> tuple[int, ...]:
                 raise CliError(f"bad level range {part!r}") from None
             if hi < lo:
                 raise CliError(f"bad level range {part!r}: end before start")
+            if lo < 0 or hi >= N_NOISE_LEVELS:
+                raise CliError(f"bad level range {part!r}: outside 0..{N_NOISE_LEVELS - 1}")
             levels.extend(range(lo, hi + 1))
         else:
             try:

@@ -65,16 +65,17 @@ class CorrelationResult:
         if self.lags.shape != self.values.shape or self.lags.ndim != 1:
             raise DomainError("lags and values must be 1-D arrays of equal length")
 
-    @property
-    def dx(self) -> float:
-        return float(self.lags[1] - self.lags[0]) if self.lags.size > 1 else 0.0
-
     def normalized(self) -> "CorrelationResult":
         """Profile divided by its maximum absolute value (a peak below EPS_DENOM passes as is)."""
-        peak = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        if peak < EPS_DENOM:
-            return self
-        return CorrelationResult(self.lags, self.values / peak)
+        values = max_normalized(self.values)
+        return self if values is self.values else CorrelationResult(self.lags, values)
+
+
+def max_normalized(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row divided by its maximum |value| (into out); values if every peak is < EPS_DENOM."""
+    peak = np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
+    small = peak < EPS_DENOM
+    return values if small.all() else np.divide(values, np.where(small, 1.0, peak), out=out)
 
 
 def _lag_geometry(n: int, m: int, boundary: str) -> tuple[int, int, float]:
@@ -117,8 +118,7 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
         # stage 2 slides the template over each row's max-normalized classic profile
         stage1 = profile_values("classic", *sums, dx)
         del sums
-        peak = np.max(np.abs(stage1), axis=1, keepdims=True)
-        stage1 /= np.where(peak < EPS_DENOM, 1.0, peak)
+        stage1 = max_normalized(stage1, out=stage1)
         for tag, lags2, values in profiles(stage1, float(lags[0]), dx, template, inner, boundary):
             yield inner[tag], lags2, values
 

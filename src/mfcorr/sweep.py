@@ -4,10 +4,11 @@ Within one (level, realization) cell every method sees the identical noisy
 object, so cross-method comparisons are paired.  A noise level is the batch:
 its realizations are stacked and profiled together, with one kernel call for
 the plain methods and the combined methods' first stage and one for their
-second stage, while peak detection and the merit figures run per cell.  Cells
-stay independent in their results: a record equals what method_profile and
-the per-cell steps give for that cell alone, so the whole sweep is a pure
-function of its configuration.
+second stage, and each method's stack of profiles is normalized, searched for
+peaks and scored in one block (metrics.stack_figures).  Cells stay independent
+in their results: a record equals what method_profile, normalized,
+detect_peaks and compute_indices give for that cell alone, so the whole sweep
+is a pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # method_profile is imported to stay public as mfcorr.sweep.method_profile too
-from .correlate import (BOUNDARIES, CorrelationResult, canonical_method,  # noqa: F401
+from .correlate import (BOUNDARIES, canonical_method, max_normalized,  # noqa: F401
                         method_profile, profiles)
 from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, add_noise,
                          gen_object, gen_template)
 from .indices import EPS_DENOM
-from .metrics import INDEX_NAMES, compute_indices
-from .peaks import detect_peaks
+from .metrics import INDEX_NAMES, stack_figures
 from .signal import DomainError
 
 DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coincidence")
@@ -50,13 +50,15 @@ class SweepConfig:
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
         if not self.methods:
             raise DomainError("at least one method required")
-        for what, items in (("method", self.methods), ("noise level", self.levels)):
-            repeated = [v for i, v in enumerate(items) if v in items[:i]]
-            if repeated:
-                raise DomainError(f"{what} {repeated[0]} given more than once")
         for v in self.levels:
             if not (0 <= v < N_NOISE_LEVELS):
                 raise DomainError(f"noise level {v} out of range 0..{N_NOISE_LEVELS - 1}")
+        for what, items in (("method", self.methods), ("noise level", self.levels)):
+            seen = set()
+            for v in items:
+                if v in seen:
+                    raise DomainError(f"{what} {v} given more than once")
+                seen.add(v)
         if self.realizations < 1:
             raise DomainError("realizations must be >= 1")
         if self.boundary not in BOUNDARIES:
@@ -137,23 +139,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             for r in range(cfg.realizations)])
         for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
                                            cfg.methods, cfg.boundary):
-            i = cfg.methods.index(name)
-            for cell, row in zip(block, values):
-                cell[i] = _cell_figures(CorrelationResult(lags, row).normalized(), cfg)
+            block[:, cfg.methods.index(name)] = stack_figures(
+                lags, max_normalized(values, out=values), cfg.object_spec)
     level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))
     return SweepResult(cfg, records, aggregate_records(records))
-
-
-def _cell_figures(profile: CorrelationResult, cfg: SweepConfig) -> list[float]:
-    """The cell's six merit figures, nan where missing (all of them if detection failed)."""
-    try:
-        pm = detect_peaks(profile, cfg.object_spec)
-        indices = compute_indices(pm, cfg.object_spec, profile)
-    except DomainError:
-        return [math.nan] * len(INDEX_NAMES)
-    return [math.nan if v is None else v for v in indices.as_dict().values()]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +165,8 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="\n") as fh:  # line by line: no file-sized string
+        fh.writelines(line + "\n" for line in lines)
 
 
 def config_comment(cfg: SweepConfig) -> str:

@@ -394,6 +394,17 @@ def test_parse_levels_ranges():
         _parse_levels("x")
     with pytest.raises(CliError):
         _parse_levels(",")
+    with pytest.raises(CliError, match="outside 0..20"):
+        _parse_levels("0-21")
+
+
+def test_bench_level_range_outside_rejected_by_parser(tmp_path, capsys):
+    # the range is checked at its endpoints, before it is expanded
+    code, out, err = _run(capsys, "bench", "--levels", "0-21", "--realizations", "1",
+                          "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: bad level range '0-21': outside 0..20\n"
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_parse_methods_aliases(capsys):

@@ -1,14 +1,17 @@
 """Peak detection and 75%-slice width measurement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from mfcorr import DomainError, ObjectSpec, PeakMeasurement, detect_peaks
-from mfcorr.correlate import CorrelationResult
-from mfcorr.peaks import width_at_fraction
+from mfcorr import DomainError, ObjectSpec, PeakMeasurement, compute_indices, detect_peaks
+from mfcorr.correlate import CorrelationResult, max_normalized
+from mfcorr.metrics import stack_figures
+from mfcorr.peaks import stack_peaks, width_at_fraction
 
 SPEC = ObjectSpec()  # exclusion radius 3*max(0.3, 0.15) = 0.9
 
@@ -202,3 +205,72 @@ def test_plateau_profiles_match_oracle(runs, ripple_steps, scale, dx, x0):
     base = np.concatenate([np.full(length, level) for level, length in runs])
     ripple = np.resize(np.cumsum(ripple_steps), base.size)
     _check_against_oracle(scale * (base + ripple), dx, x0)
+
+
+# ---------------------------------------------------------------------------
+# The block path: a stack of rows scored at once, each row as the one-profile
+# forms score it alone.
+
+ROW_KINDS = ("noisy", "plateau", "constant", "zero", "negative")
+
+
+@st.composite
+def stacks(draw):
+    """(R, n) rows of mixed kinds: noisy, plateaus with sub-tolerance drift, constant,
+    all-zero and all-negative."""
+    n = draw(st.integers(2, 60))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6)):
+        if kind == "noisy":
+            row = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        elif kind == "plateau":
+            runs = draw(st.lists(st.tuples(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]),
+                                           st.integers(1, 12)), min_size=1, max_size=10))
+            drift = draw(st.lists(st.sampled_from([-6e-13, 0.0, 6e-13]), min_size=1,
+                                  max_size=60))
+            row = (np.resize(np.concatenate([np.full(k, v) for v, k in runs]), n)
+                   + np.resize(np.cumsum(drift), n))
+        elif kind == "constant":
+            row = np.full(n, draw(st.sampled_from([-1.0, 0.3, 1.0, 2.5])))
+        elif kind == "zero":
+            row = np.zeros(n)
+        else:
+            row = -np.asarray(draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n)))
+        rows.append(np.asarray(row, dtype=float))
+    return np.stack(rows)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.where(np.isnan(got), 0.0, got).tobytes() == np.where(np.isnan(want), 0.0,
+                                                                     want).tobytes()
+
+
+@given(stacks(), grid_steps, grid_starts)
+@settings(max_examples=200, deadline=None)
+def test_stack_rows_match_one_profile_forms(stack, dx, x0):
+    lags = x0 + dx * np.arange(stack.shape[1])
+    normalized = max_normalized(stack)
+    peaks = stack_peaks(lags, normalized, SPEC)
+    figures = stack_figures(lags, normalized, SPEC)
+    exclusion = 3.0 * max(SPEC.sigma_p, SPEC.sigma_s)
+    for r, row in enumerate(stack):
+        p = CorrelationResult(lags, row).normalized()
+        assert p.values.tobytes() == normalized[r].tobytes()
+        oracle = orc.o_detect_peaks(p.lags.tolist(), p.values.tolist(), exclusion)
+        got = [float(a[r]) for a in peaks]
+        try:
+            pm = detect_peaks(p, SPEC)
+            indices = compute_indices(pm, SPEC, p)
+        except DomainError:
+            # failed rows are exactly those: six nan figures, no primary
+            assert oracle is None and np.isnan(got[0]) and np.isnan(got[2])
+            assert np.isnan(figures[r]).all()
+            continue
+        want = [math.nan if v is None else v for v in (pm.x1, pm.h1, pm.w1, pm.x2, pm.h2,
+                                                       pm.w2)]
+        _same_bits(got, want)
+        assert [str(v) for v in want] == [str(math.nan if v is None else v) for v in oracle]
+        _same_bits(figures[r], [math.nan if v is None else v
+                                for v in indices.as_dict().values()])

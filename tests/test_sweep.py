@@ -114,6 +114,12 @@ def test_repeated_methods_or_levels_rejected():
         SweepConfig(methods=("jaccard", "jaccard_real"), levels=(0,), realizations=2)
 
 
+def test_level_range_checked_before_repeats():
+    # the range check comes first, so a long run of levels fails on its first bad one
+    with pytest.raises(DomainError, match="noise level 21 out of range 0..20"):
+        SweepConfig(levels=tuple(range(22)) * 2, realizations=1)
+
+
 def test_exclusion_counting_synthetic():
     ok = PerformanceIndices(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3,
                             alpha_overlap=0.4)
