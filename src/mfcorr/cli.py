@@ -16,8 +16,8 @@ from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
                          ObjectSpec, TemplateSpec, add_noise, gen_object, gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
-from .sweep import (DEFAULT_METHODS, SweepConfig, _fmt, run_sweep, write_aggregates_csv,
-                    write_csv, write_records_csv)
+from .sweep import (DEFAULT_METHODS, SweepConfig, run_header, run_sweep, scene_fields,
+                    write_aggregates_csv, write_csv, write_records_csv)
 
 class CliError(Exception):
     """User-facing failure; printed as a single line and exits nonzero."""
@@ -30,17 +30,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line of a text file but blank and # comment lines."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    lines = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def _parse_config_file(path: str, keys: set[str]) -> dict[str, str]:
     """`key=value` per line, each key one of keys; blank lines and # comments ignored."""
     out: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path, "config file"):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -118,16 +121,9 @@ def _load_object_csv(path: str) -> Signal:
     """Two-column x,value CSV; x must be uniformly spaced."""
     xs: list[float] = []
     vals: list[float] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read object file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(path, "object file"):
         parts = line.split(",")
-        if lineno == 1 and parts and not _is_float(parts[0]):
+        if lineno == 1 and not _is_float(parts[0]):
             continue  # header row
         if len(parts) != 2 or not (_is_float(parts[0]) and _is_float(parts[1])):
             raise CliError(f"{path}:{lineno}: expected two numeric columns, got {line!r}")
@@ -162,8 +158,8 @@ def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> N
 def _cmd_correlate(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     obj = _load_object_csv(args.object) if args.object else gen_object(spec)
-    template = gen_template(TemplateSpec(args.template_width, args.template_amplitude),
-                            obj.dx)
+    template_spec = TemplateSpec(args.template_width, args.template_amplitude)
+    template = gen_template(template_spec, obj.dx)
     if args.noise_level:
         noise = NoiseSpec(args.noise_level, args.seed, args.realization,
                           args.noise_multiplier)
@@ -172,8 +168,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = dict(boundary=args.boundary, noise_level=args.noise_level, seed=args.seed,
+               realization=args.realization, noise_multiplier=args.noise_multiplier,
+               normalize=int(args.normalize))
+    if args.object:
+        run["object"] = Path(args.object).name
 
-    wrote = 0
     for name in methods:
         try:
             profile = method_profile(name, obj, template, boundary=args.boundary)
@@ -181,13 +181,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             raise CliError(f"method {name}: {exc}") from exc
         if args.normalize:
             profile = profile.normalized()
-        comment = (f"# method={name} boundary={args.boundary}"
-                   f" noise_level={args.noise_level} seed={args.seed}"
-                   f" realization={args.realization}"
-                   f" noise_multiplier={_fmt(args.noise_multiplier)}"
-                   f" normalize={int(bool(args.normalize))}")
+        comment = run_header(method=name, **run, **scene_fields(spec, template_spec))
         _write_profile_csv(profile, out_dir / f"correlate_{name}.csv", comment)
-        wrote += 1
         try:
             pm = detect_peaks(profile.normalized(), spec)
             summary = f"x1={pm.x1:.6g} h1={pm.h1:.6g} w1={pm.w1:.6g}"
@@ -198,7 +193,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         except DomainError as exc:
             summary = f"peak detection failed: {exc}"
         print(f"{name}: {summary}")
-    print(f"wrote {wrote} profile(s) to {out_dir}")
+    print(f"wrote {len(methods)} profile(s) to {out_dir}")
     return 0
 
 
@@ -228,36 +223,31 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     levels = _parse_levels(args.levels)
     methods = _parse_methods(args.methods)
     records_name = Path(args.records).name
-    try:
-        records = pca_mod.read_records(args.records)
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
+    records = pca_mod.read_records(args.records)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = 0
     for level in levels:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 matrix = pca_mod.level_matrix(records, level, methods)
                 model = pca_mod.pca_fit(matrix)
-                projections = pca_mod.project(matrix, model)
-                dispersions = pca_mod.group_dispersion(projections)
+                scores = pca_mod.project(matrix, model)
+                dispersions = pca_mod.group_dispersion(matrix.labels, scores)
             except pca_mod.AnalysisError as exc:
                 raise CliError(f"level {level}: {exc}") from exc
         for warning in caught:
             print(f"warning: level {level}: {warning.message} ({records_name})",
                   file=sys.stderr)
-        comment = (f"# records={records_name} level={level}"
-                   f" methods={','.join(methods)}")
-        pca_mod.write_projection_csv(projections, out_dir / f"pca_{level}.csv", comment)
+        comment = run_header(records=records_name, level=level, methods=",".join(methods))
+        pca_mod.write_projection_csv(matrix.labels, scores, out_dir / f"pca_{level}.csv",
+                                     comment)
         pca_mod.write_meta_csv(model, matrix, dispersions,
                                out_dir / f"pca_meta_{level}.csv", comment)
         top2 = sum(model.variance_explained)
         print(f"level {level}: n={matrix.values.shape[0]}"
               f" variance_explained_top2={top2:.4f}")
-        wrote += 2
-    print(f"wrote {wrote} file(s) to {out_dir}")
+    print(f"wrote {2 * len(levels)} file(s) to {out_dir}")
     return 0
 
 
@@ -334,8 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except (CliError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:  # DomainError is a ValueError
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

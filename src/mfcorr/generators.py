@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ def gen_template(spec: TemplateSpec, dx: float) -> Signal:
 
     The width is realized as the nearest whole number of grid steps.
     """
-    if dx <= 0:
-        raise DomainError("dx must be positive")
+    if not (dx > 0 and math.isfinite(spec.width / dx)):
+        raise DomainError(f"dx must be positive with a finite width / dx, got dx={dx}")
     steps = round(spec.width / dx)
     if steps < 2:
         raise DomainError(f"template width {spec.width} must be at least 2*dx={2 * dx}")

@@ -67,7 +67,7 @@ def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
     require_aligned(f, g)
     sums, abs_total, _ = aligned_sums(f.samples, g.samples)
-    return float(f.dx * ((abs_total + sums[0, AGW]) - sums[0, UM]))
+    return float(f.dx * ((abs_total[0] + sums[AGW, 0, 0]) - sums[UM, 0, 0]))
 
 
 def s_plus(f: Signal, g: Signal) -> float:
@@ -85,7 +85,7 @@ def s_minus(f: Signal, g: Signal) -> float:
 def _integrals(f: Signal, g: Signal) -> np.ndarray:
     """dx times the five sums of kernels.aligned_sums for an aligned pair."""
     require_aligned(f, g)
-    return f.dx * aligned_sums(f.samples, g.samples)[0][0]
+    return f.dx * aligned_sums(f.samples, g.samples)[0][:, 0, 0]
 
 
 def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> float:
@@ -105,27 +105,27 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def profile_values(tag: str, sums: np.ndarray, abs_total: float | np.ndarray,
-                   sum_total: float | np.ndarray, dx: float) -> np.ndarray:
-    """Index values per lag from kernels.sliding_sums output, one row per object of a stack."""
+def profile_values(tag: str, sums: np.ndarray, abs_total: np.ndarray,
+                   sum_total: np.ndarray, dx: float) -> np.ndarray:
+    """Index values (R, n_lags) from kernels.sliding_sums output, a row per object."""
     if tag == "classic":
-        return dx * sums[..., DOT]
+        return dx * sums[DOT]
 
-    abs_total = np.asarray(abs_total)[..., None]
+    abs_total = abs_total[:, None]
     if tag == "interiority":
         return _interiority_values(sums, abs_total, dx)
 
-    sm = dx * sums[..., SM]
+    sm = dx * sums[SM]
     if tag in ("jaccard_real", "coincidence"):
         # this grouping keeps the union exactly symmetric in the two signals
-        union = dx * ((abs_total + sums[..., AGW]) - sums[..., UM])
+        union = dx * ((abs_total + sums[AGW]) - sums[UM])
         jac = _guarded_ratio(sm, union)
         if tag == "jaccard_real":
             return jac
         return jac * _interiority_values(sums, abs_total, dx)
 
     if tag in ("jaccard_addition", "coincidence_addition"):
-        den = dx * (np.asarray(sum_total)[..., None] + sums[..., SGW])
+        den = dx * (sum_total[:, None] + sums[SGW])
         jac = _guarded_ratio(2.0 * sm, den, signed_den=True)
         if tag == "jaccard_addition":
             return jac
@@ -134,15 +134,15 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: float | np.ndarray,
     raise DomainError(f"unknown method tag {tag!r}")
 
 
-def _interiority_values(sums: np.ndarray, abs_total: float, dx: float) -> np.ndarray:
-    num = dx * sums[..., UM]
-    den = dx * np.minimum(abs_total, sums[..., AGW])
+def _interiority_values(sums: np.ndarray, abs_total: np.ndarray, dx: float) -> np.ndarray:
+    num = dx * sums[UM]
+    den = dx * np.minimum(abs_total, sums[AGW])
     return np.clip(_guarded_ratio(num, den), 0.0, 1.0)
 
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
-    return float(profile_values(tag, *aligned_sums(f.samples, g.samples), f.dx)[0])
+    return float(profile_values(tag, *aligned_sums(f.samples, g.samples), f.dx)[0, 0])
 
 
 def jaccard_real(f: Signal, g: Signal) -> float:

@@ -13,11 +13,12 @@ and ignored off the object grid):
 Each formula reads a few of them (indices.SUMS_READ), so a call adds only the
 sums in its `need` set; the others read NaN.  There is no window matrix:
 sliding_sums loops over the template samples and adds each one's terms, for
-R stacked objects and every lag at once, into one (5, R, n_lags) buffer, so
-memory is O(R * n_lags).  SM and UM share one clip; AGW and SGW depend on
-the lag alone.  Each sum is added in template order whatever else is asked,
-so its bits do not depend on `need`.  aligned_sums reduces all five over an
-aligned pair, for the whole-signal functionals.
+R stacked objects and every lag at once, into one (N_SUMS, R, n_lags) buffer
+that it returns as is beside the objects' (R,) totals of |f| and f, so memory
+is O(R * n_lags).  SM and UM share one clip; AGW and SGW depend on the lag
+alone.  Each sum is added in template order whatever else is asked, so its
+bits do not depend on `need`.  aligned_sums reduces all five over an aligned
+pair, for the whole-signal functionals, in that layout as one row and one lag.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ ALL_SUMS = frozenset(range(N_SUMS))
 
 
 def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL_SUMS):
-    """Window sums for lags k0 .. k0+n_lags-1 of one object (n,) or a stack (R, n) against g.
+    """Window sums for lags k0 .. k0+n_lags-1 of a stack (R, n) against g; (n,) is R=1.
 
-    Returns sums (n_lags, N_SUMS) or (R, n_lags, N_SUMS), NaN where an index
-    is not in need, and each object's full-grid sums of |f| and f; a stack's
-    rows get exactly one-row calls' sums.
+    Returns sums (N_SUMS, R, n_lags), NaN where an index is not in need, and
+    each object's full-grid sums of |f| and f, (R,) each; a stack's rows get
+    exactly one-row calls' sums.
     """
     rows = np.atleast_2d(f)
     n = rows.shape[1]
@@ -67,16 +68,12 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
             sgw[lo:hi] += gj
     sums[AGW], sums[SGW] = agw, sgw
     sums[sorted(ALL_SUMS.difference(need))] = np.nan
-    lag_major = sums.transpose(1, 2, 0)
-    abs_total, sum_total = np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
-    if f.ndim == 1:
-        return lag_major[0], float(abs_total[0]), float(sum_total[0])
-    return lag_major, abs_total, sum_total
+    return sums, np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
 
 
 def aligned_sums(f: np.ndarray, g: np.ndarray):
-    """The five sums of f against g on one grid as one lag, (1, N_SUMS), and f's totals."""
+    """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap)."""
     ga = np.abs(g)
     sm = np.sign(g) * np.clip(f, -ga, ga)
-    sums = [np.add.reduce(terms) for terms in (sm, np.abs(sm), ga, g, f * g)]
-    return np.array([sums]), float(np.add.reduce(np.abs(f))), float(np.add.reduce(f))
+    sums = np.array([np.add.reduce(terms) for terms in (sm, np.abs(sm), ga, g, f * g)])
+    return sums.reshape(N_SUMS, 1, 1), *(np.add.reduce(t, keepdims=True) for t in (np.abs(f), f))

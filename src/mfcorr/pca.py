@@ -155,26 +155,23 @@ def pca_fit(m: FeatureMatrix) -> PcaModel:
                     eigenvalues, vectors[:, :2].T.copy(), explained)
 
 
-def project(m: FeatureMatrix, model: PcaModel) -> list[tuple[str, float, float]]:
-    """Rows of m projected on the model's two axes, as (label, pc1, pc2)."""
+def project(m: FeatureMatrix, model: PcaModel) -> np.ndarray:
+    """Rows of m projected on the model's two axes: scores (N, 2), row i labelled m.labels[i]."""
     keep = [i for i, c in enumerate(INDEX_NAMES) if c in model.kept]
     xk = (m.values[:, keep] - model.means) / model.stds
-    scores = xk @ model.components.T
-    return [(label, float(s[0]), float(s[1])) for label, s in zip(m.labels, scores)]
+    return xk @ model.components.T
 
 
-def _groups(projections: list[tuple[str, float, float]]) -> dict[str, np.ndarray]:
-    """(pc1, pc2) points per label, as (n, 2) arrays in first-seen label order."""
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for label, pc1, pc2 in projections:
-        groups.setdefault(label, []).append((pc1, pc2))
-    return {label: np.asarray(pts) for label, pts in groups.items()}
+def _groups(labels, scores: np.ndarray) -> dict[str, np.ndarray]:
+    """The score rows of each label, as (n, 2) arrays in first-seen label order."""
+    names = np.asarray(labels)
+    return {label: scores[names == label] for label in dict.fromkeys(labels)}
 
 
-def group_dispersion(projections: list[tuple[str, float, float]]) -> dict[str, float]:
+def group_dispersion(labels, scores: np.ndarray) -> dict[str, float]:
     """Per-label mean distance to the label centroid; labels with < 2 points skipped."""
     out: dict[str, float] = {}
-    for label, pts in _groups(projections).items():
+    for label, pts in _groups(labels, scores).items():
         if len(pts) < 2:
             warnings.warn(f"label {label!r} has fewer than 2 points; skipped", stacklevel=2)
             continue
@@ -182,16 +179,16 @@ def group_dispersion(projections: list[tuple[str, float, float]]) -> dict[str, f
     return out
 
 
-def group_centroids(projections: list[tuple[str, float, float]]) -> dict[str, np.ndarray]:
-    return {label: pts.mean(axis=0) for label, pts in _groups(projections).items()}
+def group_centroids(labels, scores: np.ndarray) -> dict[str, np.ndarray]:
+    return {label: pts.mean(axis=0) for label, pts in _groups(labels, scores).items()}
 
 
 # ---------------------------------------------------------------------------
 # CSV outputs
 
-def write_projection_csv(projections: list[tuple[str, float, float]], path,
-                         comment: str | None = None) -> None:
-    write_csv(path, ("label", "pc1", "pc2"), projections, comment)
+def write_projection_csv(labels, scores: np.ndarray, path, comment: str | None = None) -> None:
+    write_csv(path, ("label", "pc1", "pc2"),
+              ((label, *s) for label, s in zip(labels, scores.tolist())), comment)
 
 
 def write_meta_csv(model: PcaModel, m: FeatureMatrix,

@@ -31,6 +31,8 @@ DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coinciden
 
 RECORD_COLUMNS = ("method", "level", "realization") + INDEX_NAMES + (
     "primary_found", "secondary_found")
+AGGREGATE_COLUMNS = ("method", "level", "n_total") + tuple(
+    f"{name}_{stat}" for name in INDEX_NAMES for stat in ("mean", "std", "n"))
 
 
 @dataclass(frozen=True)
@@ -169,39 +171,40 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
+def _field(value) -> str:
+    """A float through _fmt, a tuple (the grid) as its items joined by ":", else str()."""
+    if isinstance(value, tuple):
+        return ":".join(map(_field, value))
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def run_header(**fields) -> str:
+    """The `#` line that describes a run, every output's first: key=value per field, in order."""
+    return "# " + " ".join(f"{key}={_field(value)}" for key, value in fields.items())
+
+
+def scene_fields(o: ObjectSpec, t: TemplateSpec) -> dict:
+    """The object and template geometry as run_header fields."""
+    return dict(hp=o.h_p, hs=o.h_s, sigma_p=o.sigma_p, sigma_s=o.sigma_s, xp=o.x_p,
+                xs=o.x_s, grid=o.grid, template_width=t.width, template_amplitude=t.amplitude)
+
+
 def config_comment(cfg: SweepConfig) -> str:
-    o, t = cfg.object_spec, cfg.template_spec
-    grid = ":".join(_fmt(g) for g in o.grid[:2]) + f":{o.grid[2]}"
-    parts = [
-        "methods=" + "|".join(cfg.methods),
-        "levels=" + ",".join(str(v) for v in cfg.levels),
-        f"realizations={cfg.realizations}",
-        f"seed={cfg.base_seed}",
-        f"noise_multiplier={_fmt(cfg.noise_multiplier)}",
-        f"boundary={cfg.boundary}",
-        f"hp={_fmt(o.h_p)}", f"hs={_fmt(o.h_s)}",
-        f"sigma_p={_fmt(o.sigma_p)}", f"sigma_s={_fmt(o.sigma_s)}",
-        f"xp={_fmt(o.x_p)}", f"xs={_fmt(o.x_s)}", f"grid={grid}",
-        f"template_width={_fmt(t.width)}", f"template_amplitude={_fmt(t.amplitude)}",
-        f"eps_denom={_fmt(EPS_DENOM)}",
-    ]
-    return "# " + " ".join(parts)
+    return run_header(methods="|".join(cfg.methods), levels=",".join(map(str, cfg.levels)),
+                      realizations=cfg.realizations, seed=cfg.base_seed,
+                      noise_multiplier=cfg.noise_multiplier, boundary=cfg.boundary,
+                      **scene_fields(cfg.object_spec, cfg.template_spec), eps_denom=EPS_DENOM)
 
 
 def write_records_csv(result: SweepResult, path) -> None:
     rec = result.records
     found = ~np.isnan(rec.figures[:, [INDEX_NAMES.index("r_xp"), INDEX_NAMES.index("r_h")]])
-    rows = ([rec.methods[code], level, r, *figures, *flags] for code, level, r, figures, flags
+    # each row's figures and flags become Python values as it is written, not all up front
+    rows = ([rec.methods[code], level, r, *figures.tolist(), *flags.tolist()]
+            for code, level, r, figures, flags
             in zip(rec.codes.tolist(), rec.levels.tolist(), rec.realizations.tolist(),
-                   rec.figures.tolist(), found.astype(int).tolist()))
+                   rec.figures, found.astype(int)))
     write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
-
-
-def aggregate_columns() -> list[str]:
-    cols = ["method", "level", "n_total"]
-    for name in INDEX_NAMES:
-        cols += [f"{name}_mean", f"{name}_std", f"{name}_n"]
-    return cols
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
@@ -216,4 +219,4 @@ def write_aggregates_csv(result: SweepResult, path) -> None:
                 agg = aggs[name]
                 row += [agg.mean, agg.std, agg.n]
             rows.append(row)
-    write_csv(path, aggregate_columns(), rows, config_comment(result.config))
+    write_csv(path, AGGREGATE_COLUMNS, rows, config_comment(result.config))

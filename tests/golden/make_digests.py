@@ -1,11 +1,16 @@
 """Golden sha256 digests of the CLI's outputs, so a change can show its bytes did not move.
 
 The runs are a desk-scale `mfcorr bench` at seeds 0 and 7 (records.csv and
-aggregates.csv) and one `mfcorr correlate --normalize --noise-level 12 --seed 4`
-over all 11 method names (one profile file each, and the printed peak
-summaries).  Each file's first line, the `#` comment that describes the run,
-is hashed apart from the rest, so a header change is told from a change of
-the numbers.  The numpy version is stored beside the digests.
+aggregates.csv), `mfcorr pca --levels 0-20` on each of those records files
+(every projection and meta file), and one `mfcorr correlate --normalize
+--noise-level 12 --seed 4` over all 11 method names (one profile file each).
+The printed stdout of each run is digested too.  Each file's first line, the
+`#` comment that describes the run, is hashed apart from the rest, so a
+header change is told from a change of the numbers.  The numpy version is
+stored beside the digests.
+
+SMALL_RECORDS is a readable records file in full (levels 0, 10 and 20 × 3
+realizations × all 11 methods), so a failure shows which figures moved.
 
 Regenerate from the repository root, only on purpose:
     PYTHONPATH=src python tests/golden/make_digests.py
@@ -26,6 +31,7 @@ from mfcorr.cli import main
 from mfcorr.correlate import COMBINED_PREFIX, METHOD_TAGS
 
 DIGESTS = Path(__file__).with_name("digests.json")
+SMALL_RECORDS = Path(__file__).with_name("records_small.csv")
 
 ALL_METHODS = METHOD_TAGS + tuple(COMBINED_PREFIX + t for t in METHOD_TAGS if t != "classic")
 
@@ -35,31 +41,57 @@ RUNS = {
     "correlate": ["correlate", "--normalize", "--noise-level", "12", "--seed", "4",
                   "--methods", ",".join(ALL_METHODS)],
 }
+# run on the records.csv of each bench run, keyed pca-seed<n>
+PCA_ARGV = ["pca", "--levels", "0-20"]
+SMALL_ARGV = ["bench", "--levels", "0,10,20", "--realizations", "3", "--seed", "0",
+              "--methods", ",".join(ALL_METHODS)]
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _run(argv: list[str], out_dir: str) -> str:
+    """Run mfcorr with --out-dir out_dir; its stdout, the out dir masked."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + ["--out-dir", out_dir])
+    if code != 0:
+        raise RuntimeError(f"mfcorr {' '.join(argv)}: exited with {code}")
+    return stdout.getvalue().replace(out_dir, "<out>")
+
+
+def _add(out: dict[str, str], run: str, stdout: str, out_dir: str) -> None:
+    out[f"{run}/stdout"] = _sha256(stdout)
+    for path in sorted(p for p in Path(out_dir).iterdir() if p.is_file()):
+        header, _, body = path.read_text().partition("\n")
+        out[f"{run}/{path.name}:header"] = _sha256(header)
+        out[f"{run}/{path.name}:body"] = _sha256(body)
+
+
 def digests() -> dict[str, str]:
-    """Digest of every output of RUNS, keyed run/file:part (stdout with the out dir masked)."""
+    """Digest of every output of RUNS and of their PCA runs, keyed run/file:part."""
     out: dict[str, str] = {}
     for run, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(argv + ["--out-dir", tmp])
-            if code != 0:
-                raise RuntimeError(f"{run}: mfcorr exited with {code}")
-            out[f"{run}/stdout"] = _sha256(stdout.getvalue().replace(tmp, "<out>"))
-            for path in sorted(Path(tmp).iterdir()):
-                header, _, body = path.read_text().partition("\n")
-                out[f"{run}/{path.name}:header"] = _sha256(header)
-                out[f"{run}/{path.name}:body"] = _sha256(body)
+            _add(out, run, _run(argv, tmp), tmp)
+            if argv[0] == "bench":
+                pca_dir = str(Path(tmp) / "pca")
+                stdout = _run(PCA_ARGV + ["--records", str(Path(tmp) / "records.csv")],
+                              pca_dir)
+                _add(out, run.replace("bench", "pca"), stdout, pca_dir)
     return out
+
+
+def small_records() -> str:
+    """The records.csv text of SMALL_ARGV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(SMALL_ARGV, tmp)
+        return (Path(tmp) / "records.csv").read_text()
 
 
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "digests": digests()},
                                   indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}")
+    SMALL_RECORDS.write_text(small_records())
+    print(f"wrote {DIGESTS} and {SMALL_RECORDS}")

@@ -285,9 +285,9 @@ def _criterion_8(sweep, scale=""):
             warnings.simplefilter("ignore")
             matrix = level_matrix(result.records, v)
             model = pca_fit(matrix)
-            projections = project(matrix, model)
-            disp = group_dispersion(projections)
-            cents = group_centroids(projections)
+            scores = project(matrix, model)
+            disp = group_dispersion(matrix.labels, scores)
+            cents = group_centroids(matrix.labels, scores)
         top2 = sum(model.variance_explained)
         assert 0.55 <= top2 <= 0.85, f"level {v}: top-2 variance {top2:.3f}"
         d_cj = float(np.linalg.norm(cents["classic"] - cents["jaccard_real"]))

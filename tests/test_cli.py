@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfcorr import ObjectSpec, gen_object
+from mfcorr import ObjectSpec, cli, gen_object
 from mfcorr.cli import CliError, _parse_levels, _parse_methods, main
 from mfcorr.sweep import RECORD_COLUMNS
 
@@ -80,8 +80,12 @@ def test_correlate_object_csv_roundtrip(tmp_path, capsys):
                 "--out-dir", str(synth_dir))[0] == 0
     assert _run(capsys, "correlate", "--methods", "jaccard", "--object", str(csv_path),
                 "--out-dir", str(file_dir))[0] == 0
-    assert (synth_dir / "correlate_jaccard_real.csv").read_bytes() == \
-           (file_dir / "correlate_jaccard_real.csv").read_bytes()
+    name = "correlate_jaccard_real.csv"
+    synth_header, _, synth = (synth_dir / name).read_bytes().partition(b"\n")
+    header, _, body = (file_dir / name).read_bytes().partition(b"\n")
+    assert body == synth
+    # the header names the object file; every other field is the synthetic run's
+    assert header.replace(b" object=object.csv", b"") == synth_header
 
 
 def test_correlate_all_negative_object_reports_failed_detection(tmp_path, capsys):
@@ -113,6 +117,35 @@ def test_correlate_nonuniform_object_csv_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "correlate", "--object", str(path),
                         "--out-dir", str(tmp_path))
     assert code == 1 and "uniformly increasing" in err
+
+
+def test_correlate_subnormal_object_spacing_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "object.csv"
+    path.write_text("0,1\n1e-320,2\n2e-320,3\n")
+    code, _, err = _run(capsys, "correlate", "--object", str(path),
+                        "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: dx must be positive") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a spacing of 1e-12 asks for a template of 1.2e12 samples; the allocation
+    # itself is never attempted here, as a host that overcommits could grant it
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.73 TiB")
+
+    monkeypatch.setattr(cli, "gen_template", no_memory)
+    code, out, err = _run(capsys, "correlate", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 8.73 TiB\n"
+
+
+def test_unwritable_out_dir_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code, _, err = _run(capsys, "correlate", "--methods", "classic",
+                        "--out-dir", str(tmp_path / "file" / "sub"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_correlate_unknown_method(tmp_path, capsys):

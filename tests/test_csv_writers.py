@@ -59,9 +59,9 @@ def test_aggregates_csv_bytes(tmp_path):
 
 def test_projection_csv_bytes(tmp_path):
     path = tmp_path / "pca_2.csv"
-    projections = [("classic", 1.0 / 3.0, -2.5), ("coincidence", 0.0, 1e-10),
-                   ("classic", float("nan"), 4.0)]
-    write_projection_csv(projections, path, "# records=records.csv level=2")
+    scores = np.array([(1.0 / 3.0, -2.5), (0.0, 1e-10), (float("nan"), 4.0)])
+    write_projection_csv(("classic", "coincidence", "classic"), scores, path,
+                         "# records=records.csv level=2")
     assert path.read_bytes().decode() == (
         "# records=records.csv level=2\n"
         "label,pc1,pc2\n"

@@ -72,6 +72,13 @@ def test_template_too_narrow():
         gen_template(TemplateSpec(width=0.01, amplitude=1.0), dx=0.01)
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.01, float("nan"), 1e-320])
+def test_template_spacing_without_finite_step_count(dx):
+    # 1.2 / 1e-320 overflows to inf, which round() cannot take
+    with pytest.raises(DomainError, match="dx must be positive"):
+        gen_template(TemplateSpec(width=1.2, amplitude=1.0), dx=dx)
+
+
 def test_template_spec_validation():
     with pytest.raises(DomainError):
         TemplateSpec(width=-1.0)

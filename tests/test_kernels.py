@@ -13,9 +13,9 @@ from mfcorr.kernels import AGW, DOT, N_SUMS, SGW, SM, UM, sliding_sums
 
 
 def naive_sums(f, g, k0, n_lags):
-    """Per-lag window sums by explicit loops over the full object grid."""
+    """Per-lag window sums by explicit loops over the full object grid, as one kernel row."""
     n, m = f.size, g.size
-    out = np.zeros((n_lags, N_SUMS))
+    out = np.zeros((N_SUMS, 1, n_lags))
     for k in range(n_lags):
         gm = orc._shifted_template(n, g, k0 + k)
         sm = um = agw = sgw = dot = 0.0
@@ -31,7 +31,7 @@ def naive_sums(f, g, k0, n_lags):
             agw += ga
             sgw += gv
             dot += fv * gv
-        out[k] = (sm, um, agw, sgw, dot)
+        out[:, 0, k] = (sm, um, agw, sgw, dot)
     return out
 
 
@@ -51,10 +51,10 @@ def test_window_sums_match_naive(n, m, k0):
     n_lags = n if k0 < 0 else n - min(m, n) + 1
     want = naive_sums(f, g, k0, n_lags)
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
-    assert sums.shape == (n_lags, N_SUMS)
+    assert sums.shape == (N_SUMS, 1, n_lags)
     np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
-    assert abs_total == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
-    assert sum_total == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
+    assert abs_total[0] == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
+    assert sum_total[0] == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
 
 
 def test_offgrid_template_samples_ignored():
@@ -62,12 +62,12 @@ def test_offgrid_template_samples_ignored():
     f = np.ones(6)
     g = np.ones(4)
     sums, abs_total, _ = sliding_sums(f, g, -2, 1)
-    assert sums[0, AGW] == 2.0   # only 2 of 4 template samples on-grid
-    assert sums[0, SGW] == 2.0
-    assert sums[0, UM] == 2.0
-    assert sums[0, DOT] == 2.0
-    assert sums[0, SM] == 2.0
-    assert abs_total == 6.0
+    assert sums[AGW, 0, 0] == 2.0   # only 2 of 4 template samples on-grid
+    assert sums[SGW, 0, 0] == 2.0
+    assert sums[UM, 0, 0] == 2.0
+    assert sums[DOT, 0, 0] == 2.0
+    assert sums[SM, 0, 0] == 2.0
+    assert abs_total[0] == 6.0
 
 
 def test_zero_lag_window_equals_head():
@@ -76,7 +76,7 @@ def test_zero_lag_window_equals_head():
     sums, _, _ = sliding_sums(f, g, 0, 6)
     # window at lag k covers f[k:k+3]
     for k in range(6):
-        assert sums[k, DOT] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
+        assert sums[DOT, 0, k] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
 
 
 def test_sums_not_needed_read_nan():
@@ -84,9 +84,9 @@ def test_sums_not_needed_read_nan():
     f, g = rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 5)
     full, abs_total, sum_total = sliding_sums(f, g, -2, 20)
     sums, *totals = sliding_sums(f, g, -2, 20, need={DOT})
-    assert np.isnan(sums[:, [SM, UM, AGW, SGW]]).all()
-    assert sums[:, DOT].tobytes() == full[:, DOT].tobytes()
-    assert totals == [abs_total, sum_total]
+    assert np.isnan(sums[[SM, UM, AGW, SGW]]).all()
+    assert sums[DOT].tobytes() == full[DOT].tobytes()
+    assert [t.tobytes() for t in totals] == [abs_total.tobytes(), sum_total.tobytes()]
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
@@ -120,11 +120,11 @@ def test_long_signal_with_offset_matches_naive(offset):
     k0 = -((m - 1) // 2)
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n)
     lags = sorted({0, 1, 59, 60, n - 61, n - 60, n - 1, *rng.integers(0, n, 8).tolist()})
-    want = np.concatenate([naive_sums(f, g, k0 + k, 1) for k in lags])
-    np.testing.assert_allclose(sums[lags], want, rtol=1e-14, atol=0)
-    want_totals = orc.o_abs_area(f, 1.0), float(sum(f.tolist()))
+    want = np.concatenate([naive_sums(f, g, k0 + k, 1) for k in lags], axis=2)
+    np.testing.assert_allclose(sums[:, :, lags], want, rtol=1e-14, atol=0)
+    want_totals = np.array([orc.o_abs_area(f, 1.0)]), np.array([float(sum(f.tolist()))])
     for tag in METHOD_TAGS:
-        got = profile_values(tag, sums[lags], abs_total, sum_total, dx)
+        got = profile_values(tag, sums[:, :, lags], abs_total, sum_total, dx)
         ref = profile_values(tag, want, *want_totals, dx)
         scale = max(1.0, float(np.max(np.abs(ref))))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale, err_msg=tag)
@@ -155,8 +155,8 @@ def stacked_cases(draw):
 def test_stack_rows_equal_single_calls(case):
     f, g, k0, n_lags = case
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
-    assert sums.shape == (f.shape[0], n_lags, N_SUMS)
+    assert sums.shape == (N_SUMS, f.shape[0], n_lags)
     for r, row in enumerate(f):
         one, one_abs, one_sum = sliding_sums(row, g, k0, n_lags)
-        assert sums[r].tobytes() == one.tobytes()
-        assert abs_total[r] == one_abs and sum_total[r] == one_sum
+        assert sums[:, r].tobytes() == one[:, 0].tobytes()
+        assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]

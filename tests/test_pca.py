@@ -133,7 +133,7 @@ def test_pc1_score_variance_equals_top_eigenvalue():
     values = rng.normal(size=(300, 6)) @ np.diag([4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
     m = FeatureMatrix(values, _labels(300))
     model = pca_fit(m)
-    scores = np.array([(p1, p2) for _, p1, p2 in project(m, model)])
+    scores = project(m, model)
     assert np.var(scores[:, 0], ddof=1) == pytest.approx(model.eigenvalues[0], rel=1e-8)
     assert np.var(scores[:, 1], ddof=1) == pytest.approx(model.eigenvalues[1], rel=1e-8)
 
@@ -143,7 +143,7 @@ def test_projection_of_training_data_is_centered():
     values = rng.normal(loc=5.0, size=(120, 6))
     m = FeatureMatrix(values, _labels(120))
     model = pca_fit(m)
-    scores = np.array([(p1, p2) for _, p1, p2 in project(m, model)])
+    scores = project(m, model)
     assert np.abs(scores.mean(axis=0)).max() <= 1e-10
 
 
@@ -180,7 +180,7 @@ def test_duplicated_rows_keep_fit_finite():
     assert np.all(np.isfinite(model.eigenvalues))
     scores = project(m, model)
     # identical input rows land on identical coordinates
-    assert scores[0][1:] == pytest.approx(scores[5][1:], abs=1e-12)
+    assert scores[0] == pytest.approx(scores[5], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +324,13 @@ def test_file_and_in_memory_records_give_the_same_matrix(tmp_path):
 
 
 def test_group_dispersion_known_geometry():
-    projections = [
-        ("a", 1.0, 0.0), ("a", -1.0, 0.0),          # centroid (0,0), distances 1,1
-        ("b", 3.0, 4.0), ("b", -3.0, -4.0),          # centroid (0,0), distances 5,5
-        ("c", 9.0, 9.0),                              # single point: skipped
-    ]
+    labels = ("a", "a",            # centroid (0,0), distances 1,1
+              "b", "b",            # centroid (0,0), distances 5,5
+              "c")                 # single point: skipped
+    scores = np.array([(1.0, 0.0), (-1.0, 0.0), (3.0, 4.0), (-3.0, -4.0), (9.0, 9.0)])
     with pytest.warns(UserWarning, match="fewer than 2"):
-        disp = group_dispersion(projections)
+        disp = group_dispersion(labels, scores)
     assert disp == {"a": pytest.approx(1.0), "b": pytest.approx(5.0)}
-    cents = group_centroids(projections)
+    cents = group_centroids(labels, scores)
     assert cents["a"] == pytest.approx([0.0, 0.0])
     assert cents["c"] == pytest.approx([9.0, 9.0])

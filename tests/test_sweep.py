@@ -11,7 +11,7 @@ from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
                     gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
 from mfcorr.correlate import METHOD_TAGS
-from mfcorr.sweep import RECORD_COLUMNS, aggregate_columns, aggregate_records
+from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
 
 from tables import assert_records_equal, records_of
 
@@ -187,7 +187,7 @@ def test_aggregates_csv_structure(tmp_path):
     path = tmp_path / "agg.csv"
     write_aggregates_csv(res, path)
     lines = path.read_text().splitlines()
-    assert lines[1] == ",".join(aggregate_columns())
+    assert lines[1] == ",".join(AGGREGATE_COLUMNS)
     # one row per (level, method)
     assert len(lines) == 2 + len(SMALL.levels) * len(SMALL.methods)
     header = lines[1].split(",")
