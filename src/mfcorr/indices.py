@@ -101,8 +101,11 @@ def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> 
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -> np.ndarray:
+    """num / den into num, 0 where |den| (den itself unless signed_den) is below EPS_DENOM."""
     ok = (np.abs(den) if signed_den else den) >= EPS_DENOM
-    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+    np.divide(num, den, out=num, where=ok)
+    num[~ok] = 0.0
+    return num
 
 
 def profile_values(tag: str, sums: np.ndarray, abs_total: np.ndarray,
@@ -115,29 +118,35 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: np.ndarray,
     if tag == "interiority":
         return _interiority_values(sums, abs_total, dx)
 
+    # each formula works in place on its own few (R, n_lags) buffers; every
+    # operation keeps the operands and order of the written-out formula
     sm = dx * sums[SM]
     if tag in ("jaccard_real", "coincidence"):
-        # this grouping keeps the union exactly symmetric in the two signals
-        union = dx * ((abs_total + sums[AGW]) - sums[UM])
-        jac = _guarded_ratio(sm, union)
-        if tag == "jaccard_real":
-            return jac
-        return jac * _interiority_values(sums, abs_total, dx)
-
-    if tag in ("jaccard_addition", "coincidence_addition"):
-        den = dx * (sum_total[:, None] + sums[SGW])
-        jac = _guarded_ratio(2.0 * sm, den, signed_den=True)
-        if tag == "jaccard_addition":
-            return jac
-        return jac * _interiority_values(sums, abs_total, dx)
-
-    raise DomainError(f"unknown method tag {tag!r}")
+        # dx * ((abs_total + AGW) - UM): this grouping keeps the union exactly
+        # symmetric in the two signals
+        den = abs_total + sums[AGW]
+        den -= sums[UM]
+        den *= dx
+        jac = _guarded_ratio(sm, den)
+    elif tag in ("jaccard_addition", "coincidence_addition"):
+        den = sum_total[:, None] + sums[SGW]
+        den *= dx
+        sm *= 2.0
+        jac = _guarded_ratio(sm, den, signed_den=True)
+    else:
+        raise DomainError(f"unknown method tag {tag!r}")
+    del den   # freed before the interiority's own buffers
+    if tag.startswith("coincidence"):
+        jac *= _interiority_values(sums, abs_total, dx)
+    return jac
 
 
 def _interiority_values(sums: np.ndarray, abs_total: np.ndarray, dx: float) -> np.ndarray:
     num = dx * sums[UM]
-    den = dx * np.minimum(abs_total, sums[AGW])
-    return np.clip(_guarded_ratio(num, den), 0.0, 1.0)
+    den = np.minimum(abs_total, sums[AGW])
+    den *= dx
+    ratio = _guarded_ratio(num, den)
+    return np.clip(ratio, 0.0, 1.0, out=ratio)
 
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:

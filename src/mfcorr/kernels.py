@@ -41,6 +41,8 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
     """
     rows = np.atleast_2d(f)
     n = rows.shape[1]
+    # first, so that the |f| temporary is gone before the buffers below exist
+    totals = np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
     sums = np.zeros((N_SUMS, rows.shape[0], n_lags))
     scratch = np.empty((rows.shape[0], n_lags))
     agw, sgw = np.zeros((2, n_lags))
@@ -68,7 +70,7 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
             sgw[lo:hi] += gj
     sums[AGW], sums[SGW] = agw, sgw
     sums[sorted(ALL_SUMS.difference(need))] = np.nan
-    return sums, np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
+    return sums, *totals
 
 
 def aligned_sums(f: np.ndarray, g: np.ndarray):

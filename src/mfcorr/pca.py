@@ -87,9 +87,30 @@ def read_records(path) -> Records:
         except csv.Error as exc:
             raise AnalysisError(
                 f"records file {path}, row {reader.line_num - 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the text layer decodes whole chunks ahead of the reader, so
+            # reader.line_num may name an earlier row than the bad byte's
+            raise AnalysisError(f"records file {path}, {_undecodable_line(path, exc)}") from None
     return Records(tuple(names), *(np.frombuffer(a, dtype=np.int64)
                                    for a in (codes, levels, realizations)),
                    np.frombuffer(figures).reshape(-1, len(INDEX_NAMES)))
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """Where the first line of path that exc's encoding cannot decode is, and why."""
+    row = -1   # the header is row 0
+    with open(path, "rb") as fh:
+        # bytes.splitlines splits where the text layer does: at \n, \r and \r\n
+        for lineno, line in enumerate(fh.read().splitlines(keepends=True), start=1):
+            data = line[:1] not in b"#\r\n"
+            row += data
+            try:
+                line.decode(exc.encoding)
+            except UnicodeDecodeError as bad:
+                where = f"row {row}" if data else f"line {lineno} (a comment)"
+                return (f"{where}: not {exc.encoding} text: {bad.reason}"
+                        f" (byte {line[bad.start]:#04x} at offset {bad.start})")
+    return f"not {exc.encoding} text: {exc}"
 
 
 def level_matrix(records: Records, level: int,

@@ -9,11 +9,20 @@ peaks and scored in one block (metrics.stack_figures).  Cells stay independent
 in their results: a record equals what method_profile, normalized,
 detect_peaks and compute_indices give for that cell alone, so the whole sweep
 is a pure function of its configuration.
+
+The levels run on min(usable CPUs, levels) threads, as numpy releases the GIL
+inside its array loops.  The schedule cannot change a byte: each level reads
+only the shared clean object and template, draws its noise from streams fixed
+by (seed, level, realization), and writes only its own slice of the figures.
+An error at any level stops the other workers after their current level, and
+the caller gets the error of the lowest level that failed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +34,7 @@ from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, ad
                          gen_object, gen_template)
 from .indices import EPS_DENOM
 from .metrics import INDEX_NAMES, stack_figures
-from .signal import DomainError
+from .signal import DomainError, Signal
 
 DEFAULT_METHODS = ("classic", "jaccard_real", "coincidence", "combined_coincidence")
 
@@ -128,21 +137,63 @@ def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggre
             for code, level in cells}
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute the full noise sweep described by cfg."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
+                 block: np.ndarray) -> None:
+    """Fill block[r, i] with the figures of realization r under cfg.methods[i] at level."""
+    noisy = np.stack([
+        add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
+        for r in range(cfg.realizations)])
+    for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
+                                       cfg.methods, cfg.boundary):
+        block[:, cfg.methods.index(name)] = stack_figures(
+            lags, max_normalized(values, out=values), cfg.object_spec)
+        del values   # let this profile go before the next one is built
+
+
+def run_sweep(cfg: SweepConfig, *, _workers: int | None = None) -> SweepResult:
+    """Execute the full noise sweep described by cfg, its levels spread over the usable CPUs.
+
+    _workers fixes the number of threads (tests only); the records do not depend on it.
+    """
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
     shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
     # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
     figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
-    for block, level in zip(figures, cfg.levels):
-        noisy = np.stack([
-            add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
-            for r in range(cfg.realizations)])
-        for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
-                                           cfg.methods, cfg.boundary):
-            block[:, cfg.methods.index(name)] = stack_figures(
-                lags, max_normalized(values, out=values), cfg.object_spec)
+    workers = min(_workers or _usable_cpus(), len(cfg.levels))
+    # a worker adds only its own levels' keys; the others read the dict just to stop early
+    errors: dict[int, BaseException] = {}
+
+    def work(first: int) -> None:
+        # worker k takes levels k, k + workers, ...
+        for v in range(first, len(cfg.levels), workers):
+            if errors:
+                return
+            try:
+                _score_level(cfg, clean, template, cfg.levels[v], figures[v])
+            except BaseException as exc:
+                errors[v] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:   # interrupted while waiting: the workers stop after their level
+        errors[len(cfg.levels)] = exc
+        raise
+    if errors:
+        raise errors[min(errors)]
     level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))

@@ -366,6 +366,21 @@ def test_pca_oversized_records_field_names_row(tmp_path, capsys):
     assert str(records) in err and "row 2" in err and "field larger than field limit" in err
 
 
+def test_pca_undecodable_records_row_names_row(tmp_path, capsys):
+    # the text layer decodes the whole small file at once, before the reader sees row 1
+    records = tmp_path / "records.csv"
+    rows = [f"classic,1,{r},1,2,3,4,5,6,1,1".encode() for r in range(6)]
+    rows[2] = rows[2].replace(b"classic", b"class\xffc")
+    records.write_bytes(b"# comment\n" + ",".join(RECORD_COLUMNS).encode() + b"\n"
+                        + b"\n".join(rows) + b"\n")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"records file {records}, row 3: not utf-8 text" in err
+    assert "(byte 0xff at offset 5)" in err
+
+
 def _write_records(path, levels, seed, r_xp=None):
     """Four realizations of the three default PCA methods per level, random figures."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,9 @@
 """Noise-sweep orchestration: determinism, aggregation, CSV round trips."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
                     add_noise, canonical_method, compute_indices, detect_peaks,
                     gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
+from mfcorr import cli, sweep
 from mfcorr.correlate import METHOD_TAGS
 from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
 
@@ -72,6 +76,73 @@ def test_sweep_records_equal_per_cell_path(boundary):
                     indices = None
                 want.append((name, level, realization, indices))
     assert_records_equal(run_sweep(cfg).records, records_of(want))
+
+
+# a secondary 0.6 from the primary, inside its exclusion zone: some records lack figures
+THREADED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincidence"),
+                       object_spec=ObjectSpec(x_s=3.9), levels=(0, 5, 10, 15, 20),
+                       realizations=4, base_seed=2)
+
+
+def test_records_do_not_depend_on_worker_count():
+    # each level writes only its own slice, so any schedule gives the same bits
+    serial = run_sweep(THREADED, _workers=1)
+    assert np.isnan(serial.records.figures).any()   # missing figures compare too
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
+    try:
+        for workers in (2, 3, 5):   # 5: a thread per level, more than the CPUs of most hosts
+            assert_records_equal(run_sweep(THREADED, _workers=workers).records, serial.records)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fail_off_main_thread(error):
+    stack_figures = sweep.stack_figures
+
+    def figures_or_error(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return stack_figures(*args)
+    return figures_or_error
+
+
+@pytest.mark.parametrize("error", [DomainError("injected"), MemoryError("injected")])
+def test_worker_error_reaches_caller(monkeypatch, error):
+    monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
+    with pytest.raises(type(error), match="injected"):
+        run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3), realizations=2),
+                  _workers=2)
+
+
+@pytest.mark.parametrize("error, message", [(DomainError("injected"), "error: injected\n"),
+                                            (MemoryError("injected"),
+                                             "error: out of memory: injected\n")])
+def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error, message):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
+    code = cli.main(["bench", "--methods", "classic", "--levels", "0-3",
+                     "--realizations", "2", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sweep._usable_cpus() == 3
+    threads = set()
+    score_level = sweep._score_level
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        score_level(*args)
+    monkeypatch.setattr(sweep, "_score_level", spy)
+    result = run_sweep(THREADED)
+    assert len(threads) == 3
+    assert_records_equal(result.records, run_sweep(THREADED, _workers=1).records)
 
 
 def test_noise_shared_across_methods():
