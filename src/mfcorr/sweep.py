@@ -10,12 +10,14 @@ in their results: a record equals what method_profile, normalized,
 detect_peaks and compute_indices give for that cell alone, so the whole sweep
 is a pure function of its configuration.
 
-The levels run on min(usable CPUs, levels) threads, as numpy releases the GIL
-inside its array loops.  The schedule cannot change a byte: each level reads
-only the shared clean object and template, draws its noise from streams fixed
-by (seed, level, realization), and writes only its own slice of the figures.
-An error at any level stops the other workers after their current level, and
-the caller gets the error of the lowest level that failed.
+The levels run on up to two threads, one per usable CPU, as numpy releases the
+GIL inside its array loops; each level in flight adds its transients to the
+peak memory, so no more are used (MAX_LEVEL_THREADS).  The schedule cannot
+change a byte: each level reads only the shared clean object and template,
+draws its noise from streams fixed by (seed, level, realization), and writes
+only its own slice of the figures.  The threads take the levels in order and
+start none after one fails, so the caller gets the error of the lowest level
+that failed, as from a serial loop.
 """
 
 from __future__ import annotations
@@ -137,11 +139,20 @@ def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggre
             for code, level in cells}
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
+# Each level in flight adds its transients to the peak RSS: about 2.5 MB at 50
+# realizations, 16 MB at 300.  A third raised a desk-scale bench-and-pca run from
+# 42.6 to 45.4 MB (40.9 MB with one thread and before the in-place index formulas),
+# and what it gains beyond 2 CPUs is not measured.
+MAX_LEVEL_THREADS = 2
+
+
+def _level_threads() -> int:
+    """Levels to run at once: the CPUs this process may run on, at most MAX_LEVEL_THREADS."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_LEVEL_THREADS)
 
 
 def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
@@ -157,41 +168,40 @@ def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
         del values   # let this profile go before the next one is built
 
 
-def run_sweep(cfg: SweepConfig, *, _workers: int | None = None) -> SweepResult:
-    """Execute the full noise sweep described by cfg, its levels spread over the usable CPUs.
-
-    _workers fixes the number of threads (tests only); the records do not depend on it.
-    """
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Execute the full noise sweep described by cfg, its levels spread over _level_threads()."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
     shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
     # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
     figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
-    workers = min(_workers or _usable_cpus(), len(cfg.levels))
-    # a worker adds only its own levels' keys; the others read the dict just to stop early
+
+    # the calling thread is one of the workers.  Levels are handed out in order and none
+    # after an error, so every level below a failed one has run when the error is raised.
+    order = iter(range(len(cfg.levels)))
+    lock = threading.Lock()
     errors: dict[int, BaseException] = {}
 
-    def work(first: int) -> None:
-        # worker k takes levels k, k + workers, ...
-        for v in range(first, len(cfg.levels), workers):
-            if errors:
+    def work() -> None:
+        while True:
+            with lock:
+                v = None if errors else next(order, None)
+            if v is None:
                 return
             try:
                 _score_level(cfg, clean, template, cfg.levels[v], figures[v])
             except BaseException as exc:
                 errors[v] = exc
-                return
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_level_threads(), len(cfg.levels)) - 1)]
+    for thread in helpers:
         thread.start()
-    work(0)
     try:
-        for thread in threads:
+        work()
+    finally:
+        for thread in helpers:
             thread.join()
-    except BaseException as exc:   # interrupted while waiting: the workers stop after their level
-        errors[len(cfg.levels)] = exc
-        raise
     if errors:
         raise errors[min(errors)]
     level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)

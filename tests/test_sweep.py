@@ -84,42 +84,79 @@ THREADED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincid
                        realizations=4, base_seed=2)
 
 
-def test_records_do_not_depend_on_worker_count():
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(sweep, "_level_threads", lambda: workers)
+
+
+def test_records_do_not_depend_on_worker_count(monkeypatch):
     # each level writes only its own slice, so any schedule gives the same bits
-    serial = run_sweep(THREADED, _workers=1)
+    _pin_workers(monkeypatch, 1)
+    serial = run_sweep(THREADED)
     assert np.isnan(serial.records.figures).any()   # missing figures compare too
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
     try:
         for workers in (2, 3, 5):   # 5: a thread per level, more than the CPUs of most hosts
-            assert_records_equal(run_sweep(THREADED, _workers=workers).records, serial.records)
+            _pin_workers(monkeypatch, workers)
+            assert_records_equal(run_sweep(THREADED).records, serial.records)
     finally:
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_without_levels_is_empty(monkeypatch, workers):
+    _pin_workers(monkeypatch, workers)
+    result = run_sweep(SweepConfig(methods=("classic",), levels=(), realizations=2))
+    assert len(result.records) == 0 and result.records.figures.shape == (0, len(INDEX_NAMES))
+    assert result.aggregates == {}
+
+
 def _fail_off_main_thread(error):
     stack_figures = sweep.stack_figures
+    helper_failed = threading.Event()
 
     def figures_or_error(*args):
         if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
             raise error
+        helper_failed.wait(5)   # the calling thread must not take every level itself
         return stack_figures(*args)
     return figures_or_error
 
 
 @pytest.mark.parametrize("error", [DomainError("injected"), MemoryError("injected")])
 def test_worker_error_reaches_caller(monkeypatch, error):
+    _pin_workers(monkeypatch, 2)
     monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
     with pytest.raises(type(error), match="injected"):
-        run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3), realizations=2),
-                  _workers=2)
+        run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3), realizations=2))
+
+
+def test_lowest_failing_level_gives_the_error(monkeypatch):
+    # level 3 fails at once, level 1 only after it: the caller still gets level 1's error
+    _pin_workers(monkeypatch, 3)
+    level_3_failed = threading.Event()
+    score_level = sweep._score_level
+
+    def score_or_fail(cfg, clean, template, level, block):
+        if level == 3:
+            level_3_failed.set()
+            raise MemoryError("level 3")
+        if level == 1:
+            level_3_failed.wait(5)
+            raise DomainError("level 1")
+        score_level(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score_or_fail)
+    with pytest.raises(DomainError, match="level 1"):
+        run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3, 4), realizations=2))
+    assert level_3_failed.is_set()
 
 
 @pytest.mark.parametrize("error, message", [(DomainError("injected"), "error: injected\n"),
                                             (MemoryError("injected"),
                                              "error: out of memory: injected\n")])
 def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error, message):
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    _pin_workers(monkeypatch, 2)
     monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
     code = cli.main(["bench", "--methods", "classic", "--levels", "0-3",
                      "--realizations", "2", "--out-dir", str(tmp_path)])
@@ -129,20 +166,14 @@ def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error
     assert not (tmp_path / "records.csv").exists()
 
 
-def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (5, sweep.MAX_LEVEL_THREADS)])
+def test_worker_count_falls_back_to_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert sweep._usable_cpus() == 3
-    threads = set()
-    score_level = sweep._score_level
-
-    def spy(*args):
-        threads.add(threading.current_thread().name)
-        score_level(*args)
-    monkeypatch.setattr(sweep, "_score_level", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sweep._level_threads() == workers
     result = run_sweep(THREADED)
-    assert len(threads) == 3
-    assert_records_equal(result.records, run_sweep(THREADED, _workers=1).records)
+    _pin_workers(monkeypatch, 1)
+    assert_records_equal(result.records, run_sweep(THREADED).records)
 
 
 def test_noise_shared_across_methods():
