@@ -66,7 +66,7 @@ def signed_min_intersection(f: Signal, g: Signal) -> float:
 def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
     require_aligned(f, g)
-    sums, abs_total, _ = aligned_sums(f.samples, g.samples)
+    sums, abs_total, _ = aligned_sums(f.samples, g.samples, need={UM, AGW})
     return float(f.dx * ((abs_total[0] + sums[AGW, 0, 0]) - sums[UM, 0, 0]))
 
 
@@ -83,9 +83,9 @@ def s_minus(f: Signal, g: Signal) -> float:
 
 
 def _integrals(f: Signal, g: Signal) -> np.ndarray:
-    """dx times the five sums of kernels.aligned_sums for an aligned pair."""
+    """dx times kernels.aligned_sums' SM and UM for an aligned pair (the others NaN)."""
     require_aligned(f, g)
-    return f.dx * aligned_sums(f.samples, g.samples)[0][:, 0, 0]
+    return f.dx * aligned_sums(f.samples, g.samples, need={SM, UM})[0][:, 0, 0]
 
 
 def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> float:
@@ -151,7 +151,8 @@ def _interiority_values(sums: np.ndarray, abs_total: np.ndarray, dx: float) -> n
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
-    return float(profile_values(tag, *aligned_sums(f.samples, g.samples), f.dx)[0, 0])
+    sums = aligned_sums(f.samples, g.samples, need=SUMS_READ[tag])
+    return float(profile_values(tag, *sums, f.dx)[0, 0])
 
 
 def jaccard_real(f: Signal, g: Signal) -> float:

@@ -17,8 +17,9 @@ R stacked objects and every lag at once, into one (N_SUMS, R, n_lags) buffer
 that it returns as is beside the objects' (R,) totals of |f| and f, so memory
 is O(R * n_lags).  SM and UM share one clip; AGW and SGW depend on the lag
 alone.  Each sum is added in template order whatever else is asked, so its
-bits do not depend on `need`.  aligned_sums reduces all five over an aligned
-pair, for the whole-signal functionals, in that layout as one row and one lag.
+bits do not depend on `need`.  aligned_sums reduces the sums in `need` over an
+aligned pair, for the whole-signal functionals, in that layout as one row and
+one lag.
 """
 
 from __future__ import annotations
@@ -73,9 +74,24 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
     return sums, *totals
 
 
-def aligned_sums(f: np.ndarray, g: np.ndarray):
-    """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap)."""
+def aligned_sums(f: np.ndarray, g: np.ndarray, *, need=ALL_SUMS):
+    """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap).
+
+    As there, only the sums in need are added and the others read NaN.
+    """
+    sums = np.full((N_SUMS, 1, 1), np.nan)
     ga = np.abs(g)
-    sm = np.sign(g) * np.clip(f, -ga, ga)
-    sums = np.array([np.add.reduce(terms) for terms in (sm, np.abs(sm), ga, g, f * g)])
-    return sums.reshape(N_SUMS, 1, 1), *(np.add.reduce(t, keepdims=True) for t in (np.abs(f), f))
+    if SM in need or UM in need:
+        # np.clip(f, -ga, ga) bit for bit, ties and NaN included, without its wrapper
+        sm = np.sign(g) * np.minimum(ga, np.maximum(-ga, f))
+        if SM in need:
+            sums[SM] = np.add.reduce(sm)
+        if UM in need:
+            sums[UM] = np.add.reduce(np.abs(sm))
+    if AGW in need:
+        sums[AGW] = np.add.reduce(ga)
+    if SGW in need:
+        sums[SGW] = np.add.reduce(g)
+    if DOT in need:
+        sums[DOT] = np.add.reduce(f * g)
+    return sums, *(np.add.reduce(t, keepdims=True) for t in (np.abs(f), f))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -55,45 +54,75 @@ class PcaModel:
     variance_explained: tuple[float, float]
 
 
+# a records row as np.loadtxt returns it: the level, the realization and the six figures
+_ROW = np.dtype([("level", np.int64), ("realization", np.int64),
+                 ("figures", np.float64, (len(INDEX_NAMES),))])
+
+
 def read_records(path) -> Records:
-    """Parse and check every data row of a records CSV written by the sweep."""
-    with open(path, newline="") as fh:
-        # row 1 is the first data row below the header (row 0); comment (#) and
-        # blank lines are not fed to the reader, so they are not counted
-        reader = csv.reader(line for line in fh if line[0] not in "#\r\n")
-        try:
-            header = next(reader, None)
+    """Parse and check every data row of a records CSV written by the sweep.
+
+    numpy's C reader parses the numbers: a level or realization is an int64
+    in ASCII digits, a figure what float() reads bar underscores and
+    non-ASCII digits.  A row holding a quote or a field over the csv module's
+    limit is refused.  Row 1 is the first data row below the header (row 0);
+    comment (#) and blank lines are not rows.
+    """
+    names: dict[str, int] = {}
+    codes: list[int] = []
+    try:
+        with open(path) as fh:   # universal newlines: every line ends in \n
+            lines = (line for line in fh if line[0] not in "#\n")
+            header = next(lines, None)
             if header is None:
                 raise AnalysisError(f"records file {path} is empty")
+            header = header.rstrip("\n").split(",")
             for col in ("method", "level", "realization") + INDEX_NAMES:
                 if col not in header:
                     raise AnalysisError(f"records file missing required column {col!r}")
-            method_pos, level_pos = header.index("method"), header.index("level")
-            realization_pos = header.index("realization")
-            take_figures = itemgetter(*(header.index(name) for name in INDEX_NAMES))
-            names: dict[str, int] = {}
-            codes, levels, realizations, figures = array("q"), array("q"), array("q"), array("d")
-            for line in reader:
-                try:
-                    levels.append(int(line[level_pos]))
-                    realizations.append(int(line[realization_pos]))
-                    figures.extend(map(float, take_figures(line)))
-                    codes.append(names.setdefault(line[method_pos], len(names)))
-                except (IndexError, ValueError):
-                    raise AnalysisError(
-                        f"records file {path}, row {reader.line_num - 1}: expected"
-                        f" {len(header)} fields with a numeric level, realization and"
-                        f" figures, got {','.join(line)!r}") from None
-        except csv.Error as exc:
-            raise AnalysisError(
-                f"records file {path}, row {reader.line_num - 1}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # the text layer decodes whole chunks ahead of the reader, so
-            # reader.line_num may name an earlier row than the bad byte's
-            raise AnalysisError(f"records file {path}, {_undecodable_line(path, exc)}") from None
-    return Records(tuple(names), *(np.frombuffer(a, dtype=np.int64)
-                                   for a in (codes, levels, realizations)),
-                   np.frombuffer(figures).reshape(-1, len(INDEX_NAMES)))
+            method_pos = header.index("method")
+            limit = csv.field_size_limit()
+
+            def rows(first):
+                # a row is checked and its method taken when loadtxt asks for the next
+                # row, so when loadtxt or this refuses a row, codes ends before it
+                for line in chain((first,), lines):
+                    yield line
+                    # the csv module unquoted a field and refused one over its limit,
+                    # where loadtxt would read the quote as text or the field as inf
+                    if '"' in line or len(line) > limit and max(map(len, line.split(","))) > limit:
+                        raise ValueError
+                    method = line.rstrip("\n").split(",", method_pos + 1)[method_pos]
+                    codes.append(names.setdefault(method, len(names)))
+
+            first = next(lines, None)   # loadtxt warns when it is given no row
+            table = np.zeros(0, _ROW) if first is None else np.loadtxt(
+                rows(first), dtype=_ROW, delimiter=",", comments=None, quotechar=None,
+                usecols=[header.index(col) for col in ("level", "realization") + INDEX_NAMES],
+                ndmin=1)
+    except AnalysisError:
+        raise
+    except UnicodeDecodeError as exc:
+        # the text layer decodes whole chunks ahead of the reader, so the row
+        # reached may be earlier than the bad byte's
+        raise AnalysisError(f"records file {path}, {_undecodable_line(path, exc)}") from None
+    except (ValueError, IndexError):
+        raise AnalysisError(f"records file {path}, {_refused_row(path, len(codes) + 1)}") from None
+    return Records(tuple(names), np.array(codes, dtype=np.int64),
+                   *(np.ascontiguousarray(table[field]) for field in _ROW.names))
+
+
+def _refused_row(path, row: int) -> str:
+    """Why data row `row` of path is refused; in the csv module's words if it refuses it too."""
+    with open(path) as fh:
+        line = next(islice((line for line in fh if line[0] not in "#\n"), row, None), "")
+    line = line.rstrip("\n")
+    try:
+        next(csv.reader([line]))
+    except csv.Error as exc:
+        return f"row {row}: {exc}"
+    return (f"row {row}: expected no quotes, an integer level and realization and numeric"
+            f" figures in the header's columns, got {line!r}")
 
 
 def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
@@ -116,15 +145,16 @@ def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
 def level_matrix(records: Records, level: int,
                  methods: tuple[str, ...] = DEFAULT_PCA_METHODS) -> FeatureMatrix:
     """Feature matrix of one level: the complete rows of the wanted methods, in row order."""
-    wanted = [code for code, name in enumerate(records.methods) if name in methods]
-    selected = (records.levels == level) & np.isin(records.codes, wanted)
-    complete = np.isfinite(records.figures).all(axis=1)
-    keep = selected & complete
-    if np.count_nonzero(keep) < 2:
+    wanted = np.array([name in methods for name in records.methods], dtype=bool)
+    rows = np.flatnonzero(records.levels == level)
+    rows = rows[wanted[records.codes[rows]]]
+    figures = records.figures[rows]
+    complete = np.isfinite(figures).all(axis=1)
+    if np.count_nonzero(complete) < 2:
         raise AnalysisError(f"not enough complete rows at level {level}")
-    labels = tuple(records.methods[code] for code in records.codes[keep])
-    return FeatureMatrix(records.figures[keep], labels,
-                         int(np.count_nonzero(selected & ~complete)))
+    labels = np.array(records.methods, dtype=object)[records.codes[rows[complete]]]
+    return FeatureMatrix(figures[complete], tuple(labels),
+                         int(complete.size - np.count_nonzero(complete)))
 
 
 def load_feature_matrix(path, level: int,
@@ -208,8 +238,7 @@ def group_centroids(labels, scores: np.ndarray) -> dict[str, np.ndarray]:
 # CSV outputs
 
 def write_projection_csv(labels, scores: np.ndarray, path, comment: str | None = None) -> None:
-    write_csv(path, ("label", "pc1", "pc2"),
-              ((label, *s) for label, s in zip(labels, scores.tolist())), comment)
+    write_csv(path, ("label", "pc1", "pc2"), zip(labels, *scores.T.tolist()), comment)
 
 
 def write_meta_csv(model: PcaModel, m: FeatureMatrix,

@@ -26,6 +26,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -213,23 +214,35 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 # CSV serialization (column order fixed; floats at 9 significant digits)
 
+_FLOAT_CELL = "%.9g"   # every float cell, as format(value, ".9g"); nan of either sign reads nan
+
+
 def _fmt(value: float) -> str:
-    # format() writes every NaN, whatever its sign bit, as "nan"
-    return format(value, ".9g")
+    return _FLOAT_CELL % value
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
     """Write an optional `#` comment line, the header and one line per row.
 
-    Float cells go through _fmt (nan reads `nan`); any other cell (a name, an
-    integer count) is written with str().
+    A float cell is written through _FLOAT_CELL and any other cell (a name, an
+    integer count) with str().  The body is one % operation over one line
+    format, a cell format per column: _FLOAT_CELL for a column of floats, %s
+    for any other, whose floats (the meta table's values) are formatted first.
     """
-    lines = [comment] if comment else []
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
-    with open(path, "w", newline="\n") as fh:  # line by line: no file-sized string
-        fh.writelines(line + "\n" for line in lines)
+    width = len(header)
+    cells = list(chain.from_iterable(rows))
+    line = []
+    for i in range(width):
+        floats = {issubclass(kind, float) for kind in set(map(type, cells[i::width]))}
+        if floats == {True, False}:
+            cells[i::width] = [_fmt(v) if isinstance(v, float) else v for v in cells[i::width]]
+        line.append(_FLOAT_CELL if floats == {True} else "%s")
+    body = (",".join(line) + "\n") * (len(cells) // width) % tuple(cells)
+    with open(path, "w", newline="\n") as fh:
+        if comment:
+            fh.write(comment + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write(body)
 
 
 def _field(value) -> str:
@@ -260,11 +273,9 @@ def config_comment(cfg: SweepConfig) -> str:
 def write_records_csv(result: SweepResult, path) -> None:
     rec = result.records
     found = ~np.isnan(rec.figures[:, [INDEX_NAMES.index("r_xp"), INDEX_NAMES.index("r_h")]])
-    # each row's figures and flags become Python values as it is written, not all up front
-    rows = ([rec.methods[code], level, r, *figures.tolist(), *flags.tolist()]
-            for code, level, r, figures, flags
-            in zip(rec.codes.tolist(), rec.levels.tolist(), rec.realizations.tolist(),
-                   rec.figures, found.astype(int)))
+    names = np.array(rec.methods, dtype=object)[rec.codes]
+    rows = zip(names.tolist(), rec.levels.tolist(), rec.realizations.tolist(),
+               *rec.figures.T.tolist(), *found.T.astype(int).tolist())
     write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
 
 

@@ -381,6 +381,66 @@ def test_pca_undecodable_records_row_names_row(tmp_path, capsys):
     assert "(byte 0xff at offset 5)" in err
 
 
+GOOD_ROW = "classic,1,0,1,2,3,4,5,6,1,1"
+
+
+@pytest.mark.parametrize("row", [
+    'classic,"1",0,1,2,3,4,5,6,1,1',          # quoted level: the csv module read 1
+    "classic,1_0,0,1,2,3,4,5,6,1,1",            # int() read 10
+    "classic,\u0663,0,1,2,3,4,5,6,1,1",         # an Arabic-Indic 3: int() read 3
+    "classic,1e3,0,1,2,3,4,5,6,1,1",            # refused before as well
+    "classic,1.0,0,1,2,3,4,5,6,1,1",            # refused before as well
+    "classic,99999999999999999999,0,1,2,3,4,5,6,1,1",   # beyond int64
+    "classic,1,0,1_0,2,3,4,5,6,1,1",            # float() read 10
+    'classic,1,0,"1",2,3,4,5,6,1,1',            # quoted figure: the csv module read 1
+    '"classic",1,0,1,2,3,4,5,6,1,1',            # quoted method name
+    'classic,1,0,1,2,3,4,5,6,1,"',              # the csv module joined the next line
+    "   ",                                      # whitespace only
+])
+def test_pca_records_row_the_c_reader_refuses_names_row(tmp_path, capsys, row):
+    records = tmp_path / "records.csv"
+    records.write_text("# comment\n" + ",".join(RECORD_COLUMNS) + "\n" + GOOD_ROW
+                       + "\n# comment between rows\n\n" + row + "\n" + GOOD_ROW + "\n",
+                       encoding="utf-8")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"records file {records}, row 2: " in err and repr(row) in err
+
+
+def test_pca_oversized_records_figure_names_row(tmp_path, capsys):
+    # loadtxt would read it as inf; the csv module refused it, and so does pca
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(RECORD_COLUMNS) + "\n" + GOOD_ROW + "\n"
+                       "classic,1,1," + "9" * 140_000 + ",2,3,4,5,6,1,1\n")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert f"records file {records}, row 2: field larger than field limit" in err
+
+
+def test_pca_short_row_without_its_last_column_method_names_row(tmp_path, capsys):
+    # the method column after the figures: the row below has every number but no method
+    records = tmp_path / "records.csv"
+    columns = [c for c in RECORD_COLUMNS if c != "method"] + ["method"]
+    records.write_text(",".join(columns) + "\n1,0,1,2,3,4,5,6,1,1,classic\n"
+                       "1,1,1,2,3,4,5,6\n")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert f"records file {records}, row 2: " in err and "'1,1,1,2,3,4,5,6'" in err
+
+
+def test_pca_header_only_records_file_is_one_error_line(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("# no rows\n" + ",".join(RECORD_COLUMNS) + "\n")
+    code, out, err = _run(capsys, "pca", "--records", str(records),
+                          "--levels", "1", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: level 1: not enough complete rows at level 1\n"
+
+
 def _write_records(path, levels, seed, r_xp=None):
     """Four realizations of the three default PCA methods per level, random figures."""
     rng = np.random.default_rng(seed)

@@ -2,19 +2,26 @@
 
 Pins the shared format: the `#` comment line, the header, floats at 9
 significant digits, `nan` for missing or undefined figures, integer columns
-written as integers, `\\n` line ends and the trailing newline.
+written as integers, `\\n` line ends and the trailing newline.  Two
+properties close it: write_csv's body is the per-cell rule on any table, and
+a records file reads back bit for bit.
 """
 
+import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfcorr import FeatureMatrix, PerformanceIndices, SweepConfig
+from mfcorr import FeatureMatrix, PerformanceIndices, Records, SweepConfig, read_records
 from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
-from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv,
+from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv, write_csv,
                           write_records_csv)
 
 from tables import records_of
@@ -109,3 +116,58 @@ def test_profile_csv_bytes(tmp_path):
         "-0.01,0.5\n"
         "0,1\n"
         "0.01,-0.333333333\n")
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+# a cell of any type the writers pass, floats of every kind among them; cells are
+# drawn one by one, so a column may mix types as the meta table's values do
+CELL = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 5), data=st.data())
+def test_write_csv_body_is_the_per_cell_rule(width, data):
+    rows = data.draw(st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=12))
+    header = [f"c{i}" for i in range(width)]
+    want = "".join(",".join(format(v, ".9g") if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, rows, "# comment")
+        assert path.read_bytes().decode() == "# comment\n" + ",".join(header) + "\n" + want
+
+
+# floats that 9 significant digits name exactly, subnormals included, and the
+# values a records file must carry through unchanged
+FIGURE = st.one_of(
+    st.floats(allow_nan=False).map(lambda v: float(format(v, ".9g"))),
+    st.sampled_from([math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -2.5e-310,
+                     2.22507386e-308, 123456789.0, -0.000123456789]))
+
+RECORD_ROW = st.tuples(
+    st.sampled_from(["classic", "coincidence", "jaccard_real", "combined_coincidence"]),
+    st.integers(0, 20), st.integers(-2**63, 2**63 - 1),
+    st.lists(FIGURE, min_size=len(INDEX_NAMES), max_size=len(INDEX_NAMES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(RECORD_ROW, min_size=1, max_size=20))
+def test_records_file_reads_back_bit_for_bit(rows):
+    methods = tuple(dict.fromkeys(row[0] for row in rows))
+    want = Records(methods, np.array([methods.index(row[0]) for row in rows]),
+                   np.array([row[1] for row in rows]), np.array([row[2] for row in rows]),
+                   np.array([row[3] for row in rows], dtype=np.float64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write_records_csv(SweepResult(CONFIG, want, {}), path)
+        got = read_records(path)
+    assert got.methods == want.methods
+    for name in ("codes", "levels", "realizations"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    # the bits, so that -0.0 is not 0.0 and nan is the one nan written
+    np.testing.assert_array_equal(got.figures.view(np.int64), want.figures.view(np.int64))

@@ -3,6 +3,7 @@ fitting, projection, and the records table (read_records) and its per-level rows
 (level_matrix), from a records file or held in memory."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mfcorr import (
     PerformanceIndices,
     Records,
     SweepConfig,
+    SweepResult,
     group_centroids,
     group_dispersion,
     jacobi_eigh,
@@ -317,6 +319,65 @@ def test_file_and_in_memory_records_give_the_same_matrix(tmp_path):
         assert from_file.n_dropped == in_memory.n_dropped == (2 if level == 12 else 0)
         assert ([[format(v, ".9g") for v in row] for row in from_file.values]
                 == [[format(v, ".9g") for v in row] for row in in_memory.values])
+
+
+RECORDS_HEAD = ",".join(["method", "level", "realization", *INDEX_NAMES,
+                         "primary_found", "secondary_found"])
+RECORDS_BODY = ["classic,1,0,1,2,3,4,5,6,1,1", "coincidence,2,3,-0.5,nan,inf,1e-05,-0,8,1,0"]
+
+
+@pytest.mark.parametrize("text", [
+    "\r\n".join([RECORDS_HEAD, *RECORDS_BODY]) + "\r\n",                 # CRLF line ends
+    "\r".join([RECORDS_HEAD, *RECORDS_BODY]) + "\r",                       # CR line ends
+    "\n".join([RECORDS_HEAD, *RECORDS_BODY]),                               # no final newline
+    "\n".join([RECORDS_HEAD, "# x", RECORDS_BODY[0], "", "#", RECORDS_BODY[1]]) + "\n",
+    "\n".join([RECORDS_HEAD] + [row + ",extra" for row in RECORDS_BODY]) + "\n",
+    "\n".join([RECORDS_HEAD, "classic, 1 ,+0,1, 2,3 ,4,5,6,1,1", RECORDS_BODY[1]]) + "\n",
+], ids=["crlf", "cr", "no-final-newline", "comments-between-rows", "extra-field", "spaces"])
+def test_read_records_inputs_the_csv_module_also_read(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    want = Records(("classic", "coincidence"), np.array([0, 1]), np.array([1, 2]),
+                   np.array([0, 3]), np.array([[1.0, 2, 3, 4, 5, 6],
+                                               [-0.5, np.nan, np.inf, 1e-05, -0.0, 8]]))
+    got = read_records(path)
+    assert_records_equal(got, want)
+    assert np.signbit(got.figures[1, 4])
+
+
+def test_read_records_header_only_is_an_empty_table(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("# no rows\n" + RECORDS_HEAD + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # loadtxt warns on an input without rows
+        records = read_records(path)
+    assert records.methods == () and len(records) == 0
+    assert records.figures.shape == (0, len(INDEX_NAMES))
+
+
+def test_read_records_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
+    # paper scale: 21 levels x 300 realizations x 4 methods.  A list of the
+    # file's lines alone would take ~4.5 times the table.
+    levels, realizations, methods = 21, 300, 4
+    n = levels * realizations * methods
+    rng = np.random.default_rng(8)
+    table = Records(("classic", "jaccard_real", "coincidence", "combined_coincidence"),
+                    np.tile(np.arange(methods), n // methods),
+                    np.repeat(np.arange(levels), n // levels),
+                    np.tile(np.repeat(np.arange(realizations), methods), levels),
+                    rng.normal(size=(n, len(INDEX_NAMES))))
+    path = tmp_path / "records.csv"
+    write_records_csv(SweepResult(SweepConfig(), table, {}), path)
+    read_records(path)   # the first call's imports and caches are not the parse's
+    tracemalloc.start()
+    try:
+        got = read_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == n
+    nbytes = sum(a.nbytes for a in (got.codes, got.levels, got.realizations, got.figures))
+    assert peak <= 3 * nbytes, f"peak {peak / 2**20:.2f} MB for a {nbytes / 2**20:.2f} MB table"
 
 
 # ---------------------------------------------------------------------------
