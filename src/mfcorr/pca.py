@@ -90,23 +90,28 @@ def read_records(path) -> Records:
                     yield line
                     # the csv module unquoted a field and refused one over its limit,
                     # where loadtxt would read the quote as text or the field as inf
+                    line = line.rstrip("\n")
                     if '"' in line or len(line) > limit and max(map(len, line.split(","))) > limit:
                         raise ValueError
-                    method = line.rstrip("\n").split(",", method_pos + 1)[method_pos]
+                    method = line.split(",", method_pos + 1)[method_pos]
                     codes.append(names.setdefault(method, len(names)))
 
             first = next(lines, None)   # loadtxt warns when it is given no row
-            table = np.zeros(0, _ROW) if first is None else np.loadtxt(
-                rows(first), dtype=_ROW, delimiter=",", comments=None, quotechar=None,
-                usecols=[header.index(col) for col in ("level", "realization") + INDEX_NAMES],
-                ndmin=1)
+            with warnings.catch_warnings():
+                # numpy 1.23 to 2.x reads an integer field that only parses as a float
+                # (1.5, nan, 1e30) truncated, with a DeprecationWarning: refuse it instead
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.zeros(0, _ROW) if first is None else np.loadtxt(
+                    rows(first), dtype=_ROW, delimiter=",", comments=None, quotechar=None,
+                    usecols=[header.index(col) for col in ("level", "realization") + INDEX_NAMES],
+                    ndmin=1)
     except AnalysisError:
         raise
     except UnicodeDecodeError as exc:
         # the text layer decodes whole chunks ahead of the reader, so the row
         # reached may be earlier than the bad byte's
         raise AnalysisError(f"records file {path}, {_undecodable_line(path, exc)}") from None
-    except (ValueError, IndexError):
+    except (ValueError, IndexError, DeprecationWarning):
         raise AnalysisError(f"records file {path}, {_refused_row(path, len(codes) + 1)}") from None
     return Records(tuple(names), np.array(codes, dtype=np.int64),
                    *(np.ascontiguousarray(table[field]) for field in _ROW.names))

@@ -26,7 +26,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -215,6 +215,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 # CSV serialization (column order fixed; floats at 9 significant digits)
 
 _FLOAT_CELL = "%.9g"   # every float cell, as format(value, ".9g"); nan of either sign reads nan
+# rows per write: no string or cell list the size of the file.  At 4,096 rows a
+# chunk's strings (~450 KB) left desk-sweep peak RSS ~1 MB higher in a third of runs
+_CHUNK_ROWS = 512
 
 
 def _fmt(value: float) -> str:
@@ -225,24 +228,26 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
     """Write an optional `#` comment line, the header and one line per row.
 
     A float cell is written through _FLOAT_CELL and any other cell (a name, an
-    integer count) with str().  The body is one % operation over one line
-    format, a cell format per column: _FLOAT_CELL for a column of floats, %s
-    for any other, whose floats (the meta table's values) are formatted first.
+    integer count) with str().  The body goes out _CHUNK_ROWS rows at a time,
+    each chunk one % operation over one line format, a cell format per column:
+    _FLOAT_CELL for a column of floats, %s for any other, whose floats (the
+    meta table's values) are formatted first.
     """
     width = len(header)
-    cells = list(chain.from_iterable(rows))
-    line = []
-    for i in range(width):
-        floats = {issubclass(kind, float) for kind in set(map(type, cells[i::width]))}
-        if floats == {True, False}:
-            cells[i::width] = [_fmt(v) if isinstance(v, float) else v for v in cells[i::width]]
-        line.append(_FLOAT_CELL if floats == {True} else "%s")
-    body = (",".join(line) + "\n") * (len(cells) // width) % tuple(cells)
+    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
         if comment:
             fh.write(comment + "\n")
         fh.write(",".join(header) + "\n")
-        fh.write(body)
+        while cells := list(chain.from_iterable(islice(rows, _CHUNK_ROWS))):
+            line = []
+            for i in range(width):
+                floats = {issubclass(kind, float) for kind in set(map(type, cells[i::width]))}
+                if floats == {True, False}:
+                    cells[i::width] = [_fmt(v) if isinstance(v, float) else v
+                                       for v in cells[i::width]]
+                line.append(_FLOAT_CELL if floats == {True} else "%s")
+            fh.write((",".join(line) + "\n") * (len(cells) // width) % tuple(cells))
 
 
 def _field(value) -> str:
@@ -274,8 +279,11 @@ def write_records_csv(result: SweepResult, path) -> None:
     rec = result.records
     found = ~np.isnan(rec.figures[:, [INDEX_NAMES.index("r_xp"), INDEX_NAMES.index("r_h")]])
     names = np.array(rec.methods, dtype=object)[rec.codes]
-    rows = zip(names.tolist(), rec.levels.tolist(), rec.realizations.tolist(),
-               *rec.figures.T.tolist(), *found.T.astype(int).tolist())
+    # Python values for one chunk of rows at a time, not for the whole table up front
+    chunks = (slice(i, i + _CHUNK_ROWS) for i in range(0, len(names), _CHUNK_ROWS))
+    rows = chain.from_iterable(
+        zip(names[s].tolist(), rec.levels[s].tolist(), rec.realizations[s].tolist(),
+            *rec.figures[s].T.tolist(), *found[s].T.astype(int).tolist()) for s in chunks)
     write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
 
 

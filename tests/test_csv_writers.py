@@ -11,12 +11,13 @@ import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcorr import FeatureMatrix, PerformanceIndices, Records, SweepConfig, read_records
+from mfcorr import FeatureMatrix, PerformanceIndices, Records, SweepConfig, read_records, sweep
 from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
@@ -130,13 +131,14 @@ CELL = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(width=st.integers(1, 5), data=st.data())
-def test_write_csv_body_is_the_per_cell_rule(width, data):
+@given(width=st.integers(1, 5), chunk=st.integers(1, 5), data=st.data())
+def test_write_csv_body_is_the_per_cell_rule(width, chunk, data):
+    # small chunks, so that a column's cell types differ from one chunk to the next
     rows = data.draw(st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=12))
     header = [f"c{i}" for i in range(width)]
     want = "".join(",".join(format(v, ".9g") if isinstance(v, float) else str(v) for v in row)
                    + "\n" for row in rows)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, patch.object(sweep, "_CHUNK_ROWS", chunk):
         path = Path(tmp) / "table.csv"
         write_csv(path, header, rows, "# comment")
         assert path.read_bytes().decode() == "# comment\n" + ",".join(header) + "\n" + want
@@ -156,13 +158,13 @@ RECORD_ROW = st.tuples(
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(RECORD_ROW, min_size=1, max_size=20))
-def test_records_file_reads_back_bit_for_bit(rows):
+@given(rows=st.lists(RECORD_ROW, min_size=1, max_size=20), chunk=st.integers(1, 8))
+def test_records_file_reads_back_bit_for_bit(rows, chunk):
     methods = tuple(dict.fromkeys(row[0] for row in rows))
     want = Records(methods, np.array([methods.index(row[0]) for row in rows]),
                    np.array([row[1] for row in rows]), np.array([row[2] for row in rows]),
                    np.array([row[3] for row in rows], dtype=np.float64))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, patch.object(sweep, "_CHUNK_ROWS", chunk):
         path = Path(tmp) / "records.csv"
         write_records_csv(SweepResult(CONFIG, want, {}), path)
         got = read_records(path)

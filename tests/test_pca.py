@@ -2,6 +2,7 @@
 fitting, projection, and the records table (read_records) and its per-level rows
 (level_matrix), from a records file or held in memory."""
 
+import csv
 import math
 import tracemalloc
 import warnings
@@ -353,6 +354,33 @@ def test_read_records_header_only_is_an_empty_table(tmp_path):
         records = read_records(path)
     assert records.methods == () and len(records) == 0
     assert records.figures.shape == (0, len(INDEX_NAMES))
+
+
+@pytest.mark.parametrize("level", ["1.5", "1.0", "nan", "inf", "99999999999999999999"])
+def test_read_records_refuses_a_float_level_with_warnings_ignored(tmp_path, level):
+    # outside pytest a DeprecationWarning is ignored; numpy 1.23 to 2.x then read
+    # an integer field that only parses as a float truncated, with that warning
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([RECORDS_HEAD, RECORDS_BODY[0],
+                               f"classic,{level},0,1,2,3,4,5,6,1,1"]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(AnalysisError, match=f"records file {path}, row 2: "):
+            read_records(path)
+
+
+def test_read_records_field_at_the_csv_limit_reads(tmp_path):
+    # the csv module took a field of up to its limit; the last one too, before the newline
+    limit = csv.field_size_limit()
+    path = tmp_path / "records.csv"
+    for size in (limit, limit + 1):
+        path.write_text("\n".join([RECORDS_HEAD, RECORDS_BODY[0],
+                                   "classic,1,1,1,2,3,4,5,6,1," + "0" * (size - 1) + "1"]) + "\n")
+        if size == limit:
+            assert read_records(path).realizations.tolist() == [0, 1]
+        else:
+            with pytest.raises(AnalysisError, match="row 2: field larger than field limit"):
+                read_records(path)
 
 
 def test_read_records_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
