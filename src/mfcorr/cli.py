@@ -121,9 +121,9 @@ def _load_object_csv(path: str) -> Signal:
     """Two-column x,value CSV; x must be uniformly spaced."""
     xs: list[float] = []
     vals: list[float] = []
-    for lineno, line in _data_lines(path, "object file"):
+    for row, (lineno, line) in enumerate(_data_lines(path, "object file")):
         parts = line.split(",")
-        if lineno == 1 and not _is_float(parts[0]):
+        if row == 0 and not _is_float(parts[0]):
             continue  # header row
         if len(parts) != 2 or not (_is_float(parts[0]) and _is_float(parts[1])):
             raise CliError(f"{path}:{lineno}: expected two numeric columns, got {line!r}")
@@ -148,8 +148,7 @@ def _is_float(token: str) -> bool:
 
 
 def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> None:
-    write_csv(path, ("lag", "value"), zip(result.lags.tolist(), result.values.tolist()),
-              comment)
+    write_csv(path, ("lag", "value"), (result.lags, result.values), comment)
 
 
 # ---------------------------------------------------------------------------

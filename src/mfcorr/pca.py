@@ -17,7 +17,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .metrics import INDEX_NAMES
-from .sweep import Records, write_csv
+from .sweep import Records, _field, write_csv
 
 DEFAULT_PCA_METHODS = ("classic", "jaccard_real", "coincidence")
 
@@ -243,7 +243,7 @@ def group_centroids(labels, scores: np.ndarray) -> dict[str, np.ndarray]:
 # CSV outputs
 
 def write_projection_csv(labels, scores: np.ndarray, path, comment: str | None = None) -> None:
-    write_csv(path, ("label", "pc1", "pc2"), zip(labels, *scores.T.tolist()), comment)
+    write_csv(path, ("label", "pc1", "pc2"), (labels, *scores.T), comment)
 
 
 def write_meta_csv(model: PcaModel, m: FeatureMatrix,
@@ -260,4 +260,5 @@ def write_meta_csv(model: PcaModel, m: FeatureMatrix,
     ]
     rows += [(f"eigenvalue_{i}", float(ev)) for i, ev in enumerate(model.eigenvalues, start=1)]
     rows += [(f"dispersion_{label}", dispersions[label]) for label in sorted(dispersions)]
-    write_csv(path, ("key", "value"), rows, comment)
+    write_csv(path, ("key", "value"), ([key for key, _ in rows], [_field(v) for _, v in rows]),
+              comment)

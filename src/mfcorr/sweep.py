@@ -26,7 +26,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -220,41 +220,31 @@ _FLOAT_CELL = "%.9g"   # every float cell, as format(value, ".9g"); nan of eithe
 _CHUNK_ROWS = 512
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_CELL % value
+def write_csv(path, header, columns, comment: str | None = None) -> None:
+    """Write an optional `#` comment line, the header and one line per row of columns.
 
-
-def write_csv(path, header, rows, comment: str | None = None) -> None:
-    """Write an optional `#` comment line, the header and one line per row.
-
-    A float cell is written through _FLOAT_CELL and any other cell (a name, an
-    integer count) with str().  The body goes out _CHUNK_ROWS rows at a time,
-    each chunk one % operation over one line format, a cell format per column:
-    _FLOAT_CELL for a column of floats, %s for any other, whose floats (the
-    meta table's values) are formatted first.
+    columns holds one sequence of cells per header name, all of one length.  The
+    caller's dtype picks a column's cell format: a float ndarray's cells go through
+    _FLOAT_CELL, any other column's through str().  The body goes out _CHUNK_ROWS
+    rows at a time, each chunk one % operation over the table's line format.
     """
-    width = len(header)
-    rows = iter(rows)
+    # an object array, not np.asarray: a <U array drops a name's trailing NULs
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
+    line = ",".join(_FLOAT_CELL if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         if comment:
             fh.write(comment + "\n")
         fh.write(",".join(header) + "\n")
-        while cells := list(chain.from_iterable(islice(rows, _CHUNK_ROWS))):
-            line = []
-            for i in range(width):
-                floats = {issubclass(kind, float) for kind in set(map(type, cells[i::width]))}
-                if floats == {True, False}:
-                    cells[i::width] = [_fmt(v) if isinstance(v, float) else v
-                                       for v in cells[i::width]]
-                line.append(_FLOAT_CELL if floats == {True} else "%s")
-            fh.write((",".join(line) + "\n") * (len(cells) // width) % tuple(cells))
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            parts = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
 
 
 def _field(value) -> str:
-    """A float through _fmt, a tuple (the grid) as its items joined by ":", else str()."""
+    """A float through _FLOAT_CELL, a tuple (the grid) as its items joined by ":", else str()."""
     if isinstance(value, tuple):
         return ":".join(map(_field, value))
-    return _fmt(value) if isinstance(value, float) else str(value)
+    return _FLOAT_CELL % value if isinstance(value, float) else str(value)
 
 
 def run_header(**fields) -> str:
@@ -278,25 +268,21 @@ def config_comment(cfg: SweepConfig) -> str:
 def write_records_csv(result: SweepResult, path) -> None:
     rec = result.records
     found = ~np.isnan(rec.figures[:, [INDEX_NAMES.index("r_xp"), INDEX_NAMES.index("r_h")]])
-    names = np.array(rec.methods, dtype=object)[rec.codes]
-    # Python values for one chunk of rows at a time, not for the whole table up front
-    chunks = (slice(i, i + _CHUNK_ROWS) for i in range(0, len(names), _CHUNK_ROWS))
-    rows = chain.from_iterable(
-        zip(names[s].tolist(), rec.levels[s].tolist(), rec.realizations[s].tolist(),
-            *rec.figures[s].T.tolist(), *found[s].T.astype(int).tolist()) for s in chunks)
-    write_csv(path, RECORD_COLUMNS, rows, config_comment(result.config))
+    write_csv(path, RECORD_COLUMNS,
+              (np.array(rec.methods, dtype=object)[rec.codes], rec.levels, rec.realizations,
+               *rec.figures.T, *found.T.astype(np.uint8)),
+              config_comment(result.config))
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
     rec = result.records
-    rows = []
-    for level in result.config.levels:
-        for method in result.config.methods:
-            aggs = result.aggregates[(method, level)]
-            cell = (rec.codes == rec.methods.index(method)) & (rec.levels == level)
-            row = [method, level, np.count_nonzero(cell)]
-            for name in INDEX_NAMES:
-                agg = aggs[name]
-                row += [agg.mean, agg.std, agg.n]
-            rows.append(row)
-    write_csv(path, AGGREGATE_COLUMNS, rows, config_comment(result.config))
+    cells = [(method, level) for level in result.config.levels
+             for method in result.config.methods]
+    aggs = [result.aggregates[cell] for cell in cells]
+    columns = [[method for method, _ in cells], [level for _, level in cells],
+               [np.count_nonzero((rec.codes == rec.methods.index(method)) & (rec.levels == level))
+                for method, level in cells]]
+    for name in INDEX_NAMES:
+        columns += [np.array([agg[name].mean for agg in aggs]),
+                    np.array([agg[name].std for agg in aggs]), [agg[name].n for agg in aggs]]
+    write_csv(path, AGGREGATE_COLUMNS, columns, config_comment(result.config))

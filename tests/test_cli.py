@@ -88,6 +88,17 @@ def test_correlate_object_csv_roundtrip(tmp_path, capsys):
     assert header.replace(b" object=object.csv", b"") == synth_header
 
 
+def test_correlate_output_reads_back_as_object(tmp_path, capsys):
+    # a profile file opens with its `#` run header; its `lag,value` row comes second
+    assert _run(capsys, "correlate", "--methods", "classic",
+                "--out-dir", str(tmp_path / "first"))[0] == 0
+    code, _, err = _run(capsys, "correlate", "--methods", "classic", "--object",
+                        str(tmp_path / "first" / "correlate_classic.csv"),
+                        "--out-dir", str(tmp_path / "second"))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "second" / "correlate_classic.csv").exists()
+
+
 def test_correlate_all_negative_object_reports_failed_detection(tmp_path, capsys):
     # a positive template on a negative object gives a negative classic profile
     obj = gen_object(ObjectSpec())

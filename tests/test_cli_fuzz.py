@@ -181,7 +181,7 @@ def object_csv(draw):
     for row in rows:
         lines += draw(st.lists(st.sampled_from([b"", b"  ", b"# note", b"#1,2"]), max_size=2))
         lines.append(row)
-    header = draw(st.sampled_from([[], [b"x,value"], [b"# object"]]))
+    header = draw(st.sampled_from([[], [b"x,value"], [b"# object"], [b"# object", b"x,value"]]))
     return draw(st.sampled_from([b"\n", b"\r\n"])).join(header + lines)
 
 

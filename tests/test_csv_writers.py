@@ -3,12 +3,14 @@
 Pins the shared format: the `#` comment line, the header, floats at 9
 significant digits, `nan` for missing or undefined figures, integer columns
 written as integers, `\\n` line ends and the trailing newline.  Two
-properties close it: write_csv's body is the per-cell rule on any table, and
-a records file reads back bit for bit.
+properties close it: write_csv's body is the per-cell rule on any typed
+columns, and a records file reads back bit for bit.  A records write stays
+chunked: its memory peak is a fraction of the table's.
 """
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -122,26 +124,57 @@ def test_profile_csv_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 # Properties
 
-# a cell of any type the writers pass, floats of every kind among them; cells are
-# drawn one by one, so a column may mix types as the meta table's values do
-CELL = st.one_of(
-    st.floats(), st.floats().map(np.float64), st.integers(),
-    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+# one column of each kind the writers pass: floats of every kind (nan, ±0, ±inf and
+# subnormals among them) and integers to the int64 limits as ndarrays, names of any
+# text, NUL included, as a plain sequence
+FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, -0.0, 0.0, math.inf, -math.inf,
+                                                 5e-324, -2.5e-310]))
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)) | st.just("\x00"), max_size=5)
+
+
+def _column(n):
+    """(the cells as the rule writes them, the column as a caller passes it) of n rows."""
+    def kind(cells, rule, column):
+        return st.lists(cells, min_size=n, max_size=n).map(
+            lambda values: ([rule(v) for v in values], column(values)))
+    return st.one_of(kind(FLOATS, lambda v: format(v, ".9g"), lambda v: np.array(v, np.float64)),
+                     kind(st.integers(-2**63, 2**63 - 1), str, lambda v: np.array(v, np.int64)),
+                     kind(NAMES, str, list))
 
 
 @settings(max_examples=150, deadline=None)
-@given(width=st.integers(1, 5), chunk=st.integers(1, 5), data=st.data())
-def test_write_csv_body_is_the_per_cell_rule(width, chunk, data):
-    # small chunks, so that a column's cell types differ from one chunk to the next
-    rows = data.draw(st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=12))
+@given(width=st.integers(1, 5), n=st.integers(0, 12), chunk=st.integers(1, 5), data=st.data())
+def test_write_csv_body_is_the_per_cell_rule(width, n, chunk, data):
+    # small chunks, so that bodies span chunks
+    drawn = [data.draw(_column(n)) for _ in range(width)]
     header = [f"c{i}" for i in range(width)]
-    want = "".join(",".join(format(v, ".9g") if isinstance(v, float) else str(v) for v in row)
-                   + "\n" for row in rows)
+    want = "".join(",".join(row) + "\n" for row in zip(*(cells for cells, _ in drawn)))
     with tempfile.TemporaryDirectory() as tmp, patch.object(sweep, "_CHUNK_ROWS", chunk):
         path = Path(tmp) / "table.csv"
-        write_csv(path, header, rows, "# comment")
+        write_csv(path, header, [column for _, column in drawn], "# comment")
         assert path.read_bytes().decode() == "# comment\n" + ",".join(header) + "\n" + want
+
+
+def test_records_write_peak_memory_is_a_fraction_of_the_table(tmp_path):
+    # paper scale: 21 levels x 300 realizations x 4 methods.  One % over the whole
+    # body held every cell and line at once: 4 times the table.
+    levels, realizations, methods = 21, 300, 4
+    n = levels * realizations * methods
+    table = Records(("classic", "jaccard_real", "coincidence", "combined_coincidence"),
+                    np.tile(np.arange(methods), n // methods),
+                    np.repeat(np.arange(levels), n // levels),
+                    np.tile(np.repeat(np.arange(realizations), methods), levels),
+                    np.random.default_rng(8).normal(size=(n, len(INDEX_NAMES))))
+    result = SweepResult(CONFIG, table, {})
+    write_records_csv(result, tmp_path / "warm.csv")   # imports and caches are not the write's
+    tracemalloc.start()
+    try:
+        write_records_csv(result, tmp_path / "records.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for a in (table.codes, table.levels, table.realizations, table.figures))
+    assert peak <= 0.5 * nbytes, f"peak {peak / 2**20:.2f} MB for a {nbytes / 2**20:.2f} MB table"
 
 
 # floats that 9 significant digits name exactly, subnormals included, and the
