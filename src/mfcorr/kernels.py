@@ -13,13 +13,15 @@ and ignored off the object grid):
 Each formula reads a few of them (indices.SUMS_READ), so a call adds only the
 sums in its `need` set; the others read NaN.  There is no window matrix:
 sliding_sums loops over the template samples and adds each one's terms, for
-R stacked objects and every lag at once, into one (N_SUMS, R, n_lags) buffer
-that it returns as is beside the objects' (R,) totals of |f| and f, so memory
-is O(R * n_lags).  SM and UM share one clip; AGW and SGW depend on the lag
-alone.  Each sum is added in template order whatever else is asked, so its
-bits do not depend on `need`.  aligned_sums reduces the sums in `need` over an
-aligned pair, for the whole-signal functionals, in that layout as one row and
-one lag.
+R stacked objects and every lag at once, lag-major: over an (n, R) copy of the
+objects, into one (n_lags, R) accumulator per sum, so a template step's window,
+scratch and accumulators are each one contiguous block.  After the loop each
+sum is transposed once into the (N_SUMS, R, n_lags) result, returned beside
+the objects' (R,) totals of |f| and f; memory is O(R * (n + n_lags)).  SM and
+UM share one clip; AGW and SGW depend on the lag alone.  Each sum is added in
+template order whatever else is asked, so its bits do not depend on `need`.
+aligned_sums reduces the sums in `need` over an aligned pair, for the
+whole-signal functionals, in that layout as one row and one lag.
 """
 
 from __future__ import annotations
@@ -38,39 +40,46 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
 
     Returns sums (N_SUMS, R, n_lags), NaN where an index is not in need, and
     each object's full-grid sums of |f| and f, (R,) each; a stack's rows get
-    exactly one-row calls' sums.
+    exactly one-row calls' sums.  The sums are added lag-major, in (n_lags, R)
+    accumulators over the objects' (n, R) columns, so each template step works
+    on contiguous blocks; each is transposed once into the result at the end.
     """
-    rows = np.atleast_2d(f)
-    n = rows.shape[1]
+    # C order, so each row's totals add in a one-row call's order (numpy sums
+    # pairwise only along the inner axis)
+    rows = np.ascontiguousarray(np.atleast_2d(f))
+    n_rows, n = rows.shape
     # first, so that the |f| temporary is gone before the buffers below exist
     totals = np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
-    sums = np.zeros((N_SUMS, rows.shape[0], n_lags))
-    scratch = np.empty((rows.shape[0], n_lags))
+    cols = np.ascontiguousarray(rows.T)   # a view at R = 1
+    sm, um, dot = (np.zeros((n_lags, n_rows)) if s in need else None for s in (SM, UM, DOT))
+    scratch = np.empty((n_lags, n_rows))
     agw, sgw = np.zeros((2, n_lags))
     for j, gj in enumerate(g.tolist()):
         # lag k puts template sample j on object sample k0 + k + j; keep it on the grid
         lo, hi = max(0, -(k0 + j)), min(n_lags, n - k0 - j)
         if lo >= hi:
             continue
-        fw, acc, out = rows[:, k0 + j + lo:k0 + j + hi], sums[:, :, lo:hi], scratch[:, :hi - lo]
-        if SM in need or UM in need:
+        fw, out = cols[k0 + j + lo:k0 + j + hi], scratch[:hi - lo]
+        if sm is not None or um is not None:
             # sign(g)*clip(f, -|g|, |g|) is sign(f)*sign(g)*min(|f|, |g|) bit for bit;
             # g >= 0 skips the product, as the zeros it would sign add nothing
             np.clip(fw, -abs(gj), abs(gj), out=out)
             if gj < 0:
                 out *= -1.0
-            if SM in need:
-                np.add(acc[SM], out, out=acc[SM])
-            if UM in need:
-                np.add(acc[UM], np.abs(out, out=out), out=acc[UM])
-        if DOT in need:
-            np.add(acc[DOT], np.multiply(fw, gj, out=out), out=acc[DOT])
+            if sm is not None:
+                np.add(sm[lo:hi], out, out=sm[lo:hi])
+            if um is not None:
+                np.add(um[lo:hi], np.abs(out, out=out), out=um[lo:hi])
+        if dot is not None:
+            np.add(dot[lo:hi], np.multiply(fw, gj, out=out), out=dot[lo:hi])
         if AGW in need:
             agw[lo:hi] += abs(gj)
         if SGW in need:
             sgw[lo:hi] += gj
-    sums[AGW], sums[SGW] = agw, sgw
-    sums[sorted(ALL_SUMS.difference(need))] = np.nan
+    del cols, scratch   # gone before the result is built
+    sums = np.empty((N_SUMS, n_rows, n_lags))
+    for s, added in enumerate((sm, um, agw, sgw, dot)):   # SM, UM, AGW, SGW, DOT
+        sums[s] = added.T if s in need else np.nan
     return sums, *totals
 
 

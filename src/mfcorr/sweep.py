@@ -140,10 +140,11 @@ def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggre
             for code, level in cells}
 
 
-# Each level in flight adds its transients to the peak RSS: about 2.5 MB at 50
-# realizations, 16 MB at 300.  A third raised a desk-scale bench-and-pca run from
-# 42.6 to 45.4 MB (40.9 MB with one thread and before the in-place index formulas),
-# and what it gains beyond 2 CPUs is not measured.
+# Each level in flight adds its transients to the peak RSS: about 2.7 MB at 50
+# realizations, 16 MB at 300 (tracemalloc peak of one level).  A third raised a
+# desk-scale bench-and-pca run from 42.6 to 45.4 MB (40.9 MB with one thread and
+# before the in-place index formulas), and what it gains beyond 2 CPUs is not
+# measured.
 MAX_LEVEL_THREADS = 2
 
 

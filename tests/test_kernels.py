@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles as orc
 from mfcorr.correlate import METHOD_TAGS
+from mfcorr.generators import ObjectSpec, TemplateSpec, gen_template
 from mfcorr.indices import SUMS_READ, profile_values
 from mfcorr.kernels import AGW, DOT, N_SUMS, SGW, SM, UM, sliding_sums
 
@@ -52,7 +53,8 @@ def test_window_sums_match_naive(n, m, k0):
     want = naive_sums(f, g, k0, n_lags)
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
     assert sums.shape == (N_SUMS, 1, n_lags)
-    np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
+    # every sum gets the naive loop's terms in template order, so equal to the bit
+    np.testing.assert_array_equal(sums, want)
     assert abs_total[0] == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
     assert sum_total[0] == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
 
@@ -132,7 +134,10 @@ def test_long_signal_with_offset_matches_naive(offset):
 
 @st.composite
 def stacked_cases(draw):
-    """A stack of objects, a template, and a lag range: pad, valid or arbitrary."""
+    """A stack of objects, a template, and a lag range: pad, valid or arbitrary.
+
+    The stack is C-ordered, Fortran-ordered or a column slice of a wider array.
+    """
     rows, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 24)), draw(st.integers(1, 30))
     geometry = draw(st.sampled_from(("pad", "valid", "any")))
     if geometry == "valid":
@@ -145,6 +150,11 @@ def stacked_cases(draw):
     values = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
     f = draw(hnp.arrays(np.float64, (rows, n), elements=values))
     g = draw(hnp.arrays(np.float64, m, elements=values))
+    layout = draw(st.sampled_from(("C", "F", "slice")))
+    if layout == "F":
+        f = np.asfortranarray(f)
+    elif layout == "slice":
+        f = np.concatenate([f, np.full((rows, 3), np.nan)], axis=1)[:, :n]
     return f, g, k0, n_lags
 
 
@@ -159,4 +169,20 @@ def test_stack_rows_equal_single_calls(case):
     for r, row in enumerate(f):
         one, one_abs, one_sum = sliding_sums(row, g, k0, n_lags)
         assert sums[:, r].tobytes() == one[:, 0].tobytes()
+        assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
+        np.testing.assert_array_equal(sums[:, r], naive_sums(row, g, k0, n_lags)[:, 0])
+
+
+def test_paper_scale_stack_rows_equal_single_calls():
+    # a paper-scale level: 300 realizations on the default 121-sample template,
+    # a stack far taller than the drawn ones above
+    template = gen_template(TemplateSpec(), ObjectSpec().dx).samples
+    rng = np.random.default_rng(300)
+    f = rng.uniform(-1.0, 3.0, (300, 640))
+    f[rng.uniform(size=f.shape) < 0.05] = 0.0
+    k0 = -((template.size - 1) // 2)
+    sums, abs_total, sum_total = sliding_sums(f, template, k0, 640)
+    for r, row in enumerate(f):
+        one, one_abs, one_sum = sliding_sums(row, template, k0, 640)
+        assert sums[:, r].tobytes() == one[:, 0].tobytes(), r
         assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
