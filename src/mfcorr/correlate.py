@@ -17,11 +17,16 @@ template's support midpoint on the object axis, so a symmetric template peaks
 at the matched feature's position.  The template's own x0 plays no role.
 Every profile comes from profiles(), for R stacked objects at once;
 method_profile is its one-object form.
+
+The paper's framework runs several methods on one object, so each thread keeps
+its last one-row object's window sums (and their combined stage 2's): a later
+name adds only the sums it lacks (_window_sums).  The sweep's stacks bypass it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,18 +104,22 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     canonical_method and is yielded in canonical form.  One kernel call serves
     the plain names and the combined ones' first stage (classic), a second
     their second stage; plain names come first.  Each call adds only the window
-    sums its formulas read.
+    sums its formulas read; for one row, only those that the thread's earlier
+    calls on the same row have not kept (_window_sums).
     """
     names = [canonical_method(n) for n in names]
+    yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, 0)
+
+
+def _profiles(samples, x0, dx, template, names, boundary, stage):
     inner = {n.removeprefix(COMBINED_PREFIX): n for n in names if n.startswith(COMBINED_PREFIX)}
     if not same_spacing(dx, template.dx):
         raise AlignmentError(f"dx mismatch: object {dx} vs template {template.dx}")
-    samples = np.atleast_2d(samples)
     k0, n_lags, center = _lag_geometry(samples.shape[1], len(template), boundary)
     lags = x0 + (k0 + np.arange(n_lags) + center) * dx
     need = set().union(*(SUMS_READ["classic" if n.startswith(COMBINED_PREFIX) else n]
                          for n in names))
-    sums = kernels.sliding_sums(samples, template.samples, k0, n_lags, need=need)
+    sums = _window_sums(samples, template.samples, k0, n_lags, need, stage)
     for name in names:
         if not name.startswith(COMBINED_PREFIX):
             yield name, lags, profile_values(name, *sums, dx)
@@ -119,8 +128,55 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
         stage1 = profile_values("classic", *sums, dx)
         del sums
         stage1 = max_normalized(stage1, out=stage1)
-        for tag, lags2, values in profiles(stage1, float(lags[0]), dx, template, inner, boundary):
+        for tag, lags2, values in _profiles(stage1, float(lags[0]), dx, template, inner,
+                                            boundary, stage + 1):
             yield inner[tag], lags2, values
+
+
+@dataclass
+class _Entry:
+    key: tuple
+    added: set            # the sums in sums that are not NaN placeholders
+    sums: np.ndarray      # (N_SUMS, 1, n_lags)
+    totals: list
+
+
+class _Memo(threading.local):
+    """This thread's kept window sums: its last one-row object's, then that object's stage 2's."""
+
+    def __init__(self):
+        self.entries = [None, None]
+
+
+_MEMO = _Memo()
+
+
+def _window_sums(samples, g, k0, n_lags, need, stage):
+    """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept per stage for one row.
+
+    An entry is keyed by content (samples' dtype and bytes, g's bytes, k0,
+    n_lags), so an object changed in place is a miss.  A hit adds only the
+    sums the entry lacks: each sum is added in template order whatever else is
+    asked, so a grown entry holds a full call's sums bit for bit, and a request
+    for AGW or SGW alone clips and multiplies nothing.  A miss drops this
+    stage's entry and the later stage's before the kernel runs.  Stacks of more
+    rows (the sweep's) pass straight through.
+    """
+    if samples.shape[0] != 1:
+        return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
+    entries = _MEMO.entries
+    key = (samples.dtype.str, samples.tobytes(), g.tobytes(), k0, n_lags)
+    entry = entries[stage]
+    if entry is None or entry.key != key:
+        entry = None   # with the entries, so the old sums are freed before the kernel runs
+        entries[stage:] = [None] * (len(entries) - stage)
+        sums, *totals = kernels.sliding_sums(samples, g, k0, n_lags, need=need)
+        entries[stage] = entry = _Entry(key, set(need), sums, totals)
+    elif missing := need - entry.added:
+        rows = sorted(missing)
+        entry.sums[rows] = kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0][rows]
+        entry.added |= missing
+    return entry.sums, *entry.totals
 
 
 def method_profile(name: str, obj: Signal, template: Signal,

@@ -146,7 +146,9 @@ def _interiority_values(sums: np.ndarray, abs_total: np.ndarray, dx: float) -> n
     den = np.minimum(abs_total, sums[AGW])
     den *= dx
     ratio = _guarded_ratio(num, den)
-    return np.clip(ratio, 0.0, 1.0, out=ratio)
+    # np.clip(ratio, 0.0, 1.0) bit for bit, ties, signed zeros and NaN included,
+    # without its wrapper (which the scalar functionals would pay per call)
+    return np.minimum(1.0, np.maximum(0.0, ratio, out=ratio), out=ratio)
 
 
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:

@@ -2,29 +2,36 @@
 
 perfbench/tracer.py wraps each (module, function) of its TARGETS and unpacks
 the kernel's positional arguments; perfbench/worker.py prints the kernel
-backend.  A renamed or deleted hook would otherwise show only in a traced
-benchmark run.
+backend; perfbench/workloads.py matches long-signal records through
+`sweep.method_profile`, `.normalized()` and `peaks.detect_peaks`, untraced.
+A renamed or deleted hook would otherwise show only in a benchmark run, as
+failed operations or a traced run's zeros.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import mfcorr.kernels
+from mfcorr import PeakMeasurement, Signal, TemplateSpec, gen_template
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
-def test_every_traced_target_resolves():
-    for module_name, attr, key in _tracer().TARGETS:
+def test_every_traced_target_resolves(monkeypatch):
+    for module_name, attr, key in _load("tracer", monkeypatch).TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), key
 
 
@@ -37,3 +44,18 @@ def test_kernel_takes_the_four_positional_arguments_the_tracer_unpacks():
 
 def test_active_backend_is_reported():
     assert isinstance(mfcorr.kernels.ACTIVE_BACKEND, str)
+
+
+def test_long_signal_match_returns_a_profile_and_peaks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))   # workloads.py imports reference.py
+    workloads = _load("workloads", monkeypatch)
+    x = workloads.DX * np.arange(600)
+    rec = workloads.LongRecord(Signal(np.exp(-((x - 3.0) ** 2) / 0.18), dx=workloads.DX),
+                               3.0, 0.0)
+    template = gen_template(TemplateSpec(), workloads.DX)
+    for name in workloads.LONG_METHODS:
+        result = workloads._match(rec, name, template)
+        assert not isinstance(result, str), (name, result)   # a str is the repr of a raise
+        raw, pm = result
+        assert raw.lags.shape == raw.values.shape == x.shape, name
+        assert pm is None or isinstance(pm, PeakMeasurement), name

@@ -1,5 +1,7 @@
-"""Sliding correlation engine: worked cases, invariants, oracle equivalence."""
+"""Sliding correlation engine: worked cases, invariants, oracle equivalence, the memo."""
 
+import sys
+import threading
 import types
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import oracles as orc
 from mfcorr import (AlignmentError, DomainError, ObjectSpec, Signal, SweepConfig,
                     TemplateSpec, gen_object, gen_template, method_profile)
+from mfcorr import kernels
 from mfcorr.cli import main
 from mfcorr.correlate import profiles
 
@@ -268,3 +271,119 @@ def test_values_do_not_depend_on_other_names(case):
     for name in names:
         [(_, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
         assert together[name].tobytes() == alone.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The one-row memo: a later call on the same object adds only the sums it lacks
+
+LONG_SIGNAL_NAMES = ("classic", "jaccard_real", "interiority", "coincidence",
+                     "jaccard_addition", "coincidence_addition", "combined_coincidence")
+
+
+def _fresh(name, obj, tpl, boundary="pad"):
+    """method_profile on a new thread, whose memo starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(method_profile(name, obj, tpl, boundary)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _same(got, want):
+    return got.lags.tobytes() == want.lags.tobytes() and \
+        got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["pad", "valid"])
+def test_memo_gives_memo_free_values_in_any_order(boundary):
+    rng = np.random.default_rng(31 if boundary == "pad" else 32)
+    for trial in range(4):
+        f = rng.uniform(-2.0, 2.0, int(rng.integers(40, 90)))
+        f[rng.uniform(size=f.size) < 0.2] = 0.0
+        g = rng.uniform(-2.0, 2.0, int(rng.integers(2, 12)))
+        obj, tpl = Signal(f, dx=0.3, x0=-1.0), Signal(g, dx=0.3)
+        order = list(rng.permutation(ALL_NAMES))
+        got = {name: method_profile(name, obj, tpl, boundary) for name in order}
+        for name in order:
+            assert _same(got[name], _fresh(name, obj, tpl, boundary)), (trial, name, order)
+
+
+def test_memo_misses_on_samples_changed_in_place():
+    rng = np.random.default_rng(33)
+    f = rng.uniform(-2.0, 2.0, 60)
+    obj, tpl = Signal(f, dx=0.5), Signal(rng.uniform(-2.0, 2.0, 7), dx=0.5)
+    assert obj.samples is f   # the object reads the caller's buffer
+    for name in ("coincidence", "combined_coincidence"):
+        before = method_profile(name, obj, tpl)
+        f[17] += 1.0
+        after = method_profile(name, obj, tpl)
+        assert not _same(after, before), name
+        assert _same(after, _fresh(name, obj, tpl)), name
+        assert _same(method_profile("jaccard_real", obj, tpl), _fresh("jaccard_real", obj, tpl))
+
+
+def test_memo_is_per_thread(monkeypatch):
+    # more threads than cores, switching often, each on its own object: each
+    # gets its own results, and its memo is its own, so after its first pass
+    # over the names its calls add nothing (a shared memo would miss often)
+    rng = np.random.default_rng(34)
+    tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
+    objects = [Signal(rng.uniform(-2.0, 2.0, 80), dx=0.25) for _ in range(4)]
+    want = [{name: _fresh(name, obj, tpl) for name in ALL_NAMES} for obj in objects]
+    wrong, calls, start = [], [], threading.Barrier(len(objects), timeout=30)
+    kernel = kernels.sliding_sums
+
+    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
+        calls.append(threading.get_ident())
+        return kernel(f, g, k0, n_lags, need=need)
+
+    def run(i):
+        start.wait()
+        for _ in range(5):
+            for name in ALL_NAMES:
+                if not _same(method_profile(name, objects[i], tpl), want[i][name]):
+                    wrong.append((i, name))
+
+    monkeypatch.setattr(kernels, "sliding_sums", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(objects))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
+    assert [calls.count(worker.ident) for worker in workers] == [5] * len(objects)
+
+
+@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 4), (ALL_NAMES, 5)])
+def test_memo_kernel_calls_per_object(monkeypatch, names, most):
+    # one call per method would make 8 kernel calls for the long-signal names
+    # and 16 for all 11 (each combined name also calls for its stage 1)
+    rng = np.random.default_rng(35)
+    obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
+    tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
+    method_profile("classic", Signal(np.ones(5), dx=0.1), tpl)   # a different object last
+    calls, kernel = [], kernels.sliding_sums
+
+    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
+        calls.append((f.tobytes(), set(need)))
+        return kernel(f, g, k0, n_lags, need=need)
+
+    monkeypatch.setattr(kernels, "sliding_sums", spy)
+    for name in names:
+        method_profile(name, obj, tpl)
+    assert len(calls) <= most, calls
+    # per object (the samples, then the combined names' stage 2) no sum is
+    # added twice, and a name that lacks only SGW asks the kernel for it alone
+    added = {}
+    for f, need in calls:
+        assert not need & added.setdefault(f, set()), (need, added[f])
+        added[f] |= need
+    assert len(added) == 2
+    assert any(need <= {kernels.AGW, kernels.SGW} for _, need in calls)

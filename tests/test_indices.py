@@ -14,7 +14,8 @@ from mfcorr import (AlignmentError, DomainError, Multiset, Signal,
                     inner_product, interiority_real, jaccard_addition,
                     jaccard_real, multiset_jaccard, s_minus, s_plus, s_pm,
                     set_jaccard, signed_min_intersection)
-from mfcorr.indices import EPS_DENOM
+from mfcorr.indices import EPS_DENOM, profile_values
+from mfcorr.kernels import AGW, N_SUMS, UM
 
 
 def sig(*values, dx=1.0, x0=0.0):
@@ -86,6 +87,28 @@ def test_jaccard_real_values():
     assert jaccard_real(sig(1.0), sig(-1.0)) == -1.0
     assert jaccard_real(sig(1.0, 0.0), sig(0.0, 1.0)) == 0.0
     assert jaccard_real(sig(0.0), sig(0.0)) == 0.0  # guarded denominator
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 40), (2, 301)])
+def test_interiority_clip_equals_np_clip_bit_for_bit(shape):
+    # the interiority clips without np.clip's wrapper; the ufunc pair must keep
+    # np.clip's result on signed zeros, NaN, exact 0 and 1 and values above 1
+    rng = np.random.default_rng(shape[1])
+    planted = np.array([-0.0, 0.0, np.nan, 1.0, 1.5, 2.0, np.inf, 1e-300, 5e-324, -1.0])
+    for _ in range(30):
+        sums = np.full((N_SUMS,) + shape, np.nan)
+        sums[UM] = rng.uniform(-0.5, 3.0, shape)
+        sums[AGW] = rng.choice([0.0, 1.0, rng.uniform(0.5, 2.0)], shape)
+        abs_total = rng.choice([0.0, 1.0, 1.0, 2.5], shape[0])
+        where = rng.uniform(size=shape) < 0.4
+        sums[UM][where] = rng.choice(planted, int(where.sum()))
+        sums[AGW][where] = 1.0   # so planted values reach the clip as they are at dx = 1
+        dx = float(rng.choice([1.0, 0.37]))
+        num, den = dx * sums[UM], dx * np.minimum(abs_total[:, None], sums[AGW])
+        with np.errstate(all="ignore"):
+            want = np.clip(np.where(den >= EPS_DENOM, num / den, 0.0), 0.0, 1.0)
+        got = profile_values("interiority", sums, abs_total, abs_total, dx)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_interiority_values():
