@@ -295,6 +295,19 @@ def _same(got, want):
         got.values.tobytes() == want.values.tobytes()
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Each kernels.sliding_sums call from now on, as (thread, samples' bytes, need)."""
+    calls, kernel = [], kernels.sliding_sums
+
+    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
+        calls.append((threading.get_ident(), f.tobytes(), set(need)))
+        return kernel(f, g, k0, n_lags, need=need)
+
+    monkeypatch.setattr(kernels, "sliding_sums", spy)
+    return calls
+
+
 @pytest.mark.parametrize("boundary", ["pad", "valid"])
 def test_memo_gives_memo_free_values_in_any_order(boundary):
     rng = np.random.default_rng(31 if boundary == "pad" else 32)
@@ -323,7 +336,7 @@ def test_memo_misses_on_samples_changed_in_place():
         assert _same(method_profile("jaccard_real", obj, tpl), _fresh("jaccard_real", obj, tpl))
 
 
-def test_memo_is_per_thread(monkeypatch):
+def test_memo_is_per_thread(kernel_calls):
     # more threads than cores, switching often, each on its own object: each
     # gets its own results, and its memo is its own, so after its first pass
     # over the names its calls add nothing (a shared memo would miss often)
@@ -331,12 +344,8 @@ def test_memo_is_per_thread(monkeypatch):
     tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
     objects = [Signal(rng.uniform(-2.0, 2.0, 80), dx=0.25) for _ in range(4)]
     want = [{name: _fresh(name, obj, tpl) for name in ALL_NAMES} for obj in objects]
-    wrong, calls, start = [], [], threading.Barrier(len(objects), timeout=30)
-    kernel = kernels.sliding_sums
-
-    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
-        calls.append(threading.get_ident())
-        return kernel(f, g, k0, n_lags, need=need)
+    kernel_calls.clear()   # a worker may reuse the ident of a thread that made these
+    wrong, start = [], threading.Barrier(len(objects), timeout=30)
 
     def run(i):
         start.wait()
@@ -345,7 +354,6 @@ def test_memo_is_per_thread(monkeypatch):
                 if not _same(method_profile(name, objects[i], tpl), want[i][name]):
                     wrong.append((i, name))
 
-    monkeypatch.setattr(kernels, "sliding_sums", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -358,32 +366,27 @@ def test_memo_is_per_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert wrong == []
-    assert [calls.count(worker.ident) for worker in workers] == [5] * len(objects)
+    threads = [thread for thread, _, _ in kernel_calls]
+    assert [threads.count(worker.ident) for worker in workers] == [5] * len(objects)
 
 
 @pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 4), (ALL_NAMES, 5)])
-def test_memo_kernel_calls_per_object(monkeypatch, names, most):
+def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     # one call per method would make 8 kernel calls for the long-signal names
     # and 16 for all 11 (each combined name also calls for its stage 1)
     rng = np.random.default_rng(35)
     obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
     method_profile("classic", Signal(np.ones(5), dx=0.1), tpl)   # a different object last
-    calls, kernel = [], kernels.sliding_sums
-
-    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
-        calls.append((f.tobytes(), set(need)))
-        return kernel(f, g, k0, n_lags, need=need)
-
-    monkeypatch.setattr(kernels, "sliding_sums", spy)
+    kernel_calls.clear()
     for name in names:
         method_profile(name, obj, tpl)
-    assert len(calls) <= most, calls
+    assert len(kernel_calls) <= most, kernel_calls
     # per object (the samples, then the combined names' stage 2) no sum is
     # added twice, and a name that lacks only SGW asks the kernel for it alone
     added = {}
-    for f, need in calls:
+    for _, f, need in kernel_calls:
         assert not need & added.setdefault(f, set()), (need, added[f])
         added[f] |= need
     assert len(added) == 2
-    assert any(need <= {kernels.AGW, kernels.SGW} for _, need in calls)
+    assert any(need <= {kernels.AGW, kernels.SGW} for _, _, need in kernel_calls)
