@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pca as pca_mod
-from .correlate import BOUNDARIES, CorrelationResult, canonical_method, method_profile
+from .correlate import BOUNDARIES, CorrelationResult, canonical_method, profiles
 from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
                          DEFAULT_TEMPLATE_WIDTH, N_NOISE_LEVELS, NoiseSpec,
                          ObjectSpec, TemplateSpec, add_noise, gen_object, gen_template)
@@ -173,11 +173,19 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     if args.object:
         run["object"] = Path(args.object).name
 
+    # one profiles() call, so the names share its window sums and its stage 2;
+    # a name it could not make fails where its own call failed before
+    made, failure = {}, None
+    try:
+        for name, lags, values in profiles(obj.samples, obj.x0, obj.dx, template,
+                                           methods, args.boundary):
+            made[name] = CorrelationResult(lags, values[0])
+    except DomainError as exc:
+        failure = exc
     for name in methods:
-        try:
-            profile = method_profile(name, obj, template, boundary=args.boundary)
-        except DomainError as exc:
-            raise CliError(f"method {name}: {exc}") from exc
+        if name not in made:
+            raise CliError(f"method {name}: {failure}") from failure
+        profile = made[name]
         if args.normalize:
             profile = profile.normalized()
         comment = run_header(method=name, **run, **scene_fields(spec, template_spec))

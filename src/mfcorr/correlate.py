@@ -19,12 +19,13 @@ Every profile comes from profiles(), for R stacked objects at once;
 method_profile is its one-object form.
 
 The paper's framework runs several methods on one object, so each thread keeps
-its last one-row object's window sums (and their combined stage 2's): a later
-name adds only the sums it lacks (_window_sums).  The sweep's stacks bypass it.
+its last one-row object's window sums: a later name adds only the sums it lacks
+(_window_sums).  The combined names' stage 2 and the sweep's stacks bypass it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -96,6 +97,14 @@ def _lag_geometry(n: int, m: int, boundary: str) -> tuple[int, int, float]:
     raise DomainError(f"unknown boundary policy {boundary!r}; expected one of {BOUNDARIES}")
 
 
+@functools.lru_cache(maxsize=2)
+def _lag_axis(x0, dx, k0, n_lags, center):
+    """Lag abscissae, read-only, so the profiles of one axis (an object's stages 1 and 2) share them."""
+    lags = x0 + (k0 + np.arange(n_lags) + center) * dx
+    lags.flags.writeable = False
+    return lags
+
+
 def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
              names, boundary: str = "pad"):
     """Yield (name, lags, values[R, n_lags]) per name for the R rows of samples.
@@ -108,28 +117,29 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     calls on the same row have not kept (_window_sums).
     """
     names = [canonical_method(n) for n in names]
-    yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, 0)
+    yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, True)
 
 
-def _profiles(samples, x0, dx, template, names, boundary, stage):
+def _profiles(samples, x0, dx, template, names, boundary, keep):
     inner = {n.removeprefix(COMBINED_PREFIX): n for n in names if n.startswith(COMBINED_PREFIX)}
     if not same_spacing(dx, template.dx):
         raise AlignmentError(f"dx mismatch: object {dx} vs template {template.dx}")
     k0, n_lags, center = _lag_geometry(samples.shape[1], len(template), boundary)
-    lags = x0 + (k0 + np.arange(n_lags) + center) * dx
+    lags = _lag_axis(x0, dx, k0, n_lags, center)
     need = set().union(*(SUMS_READ["classic" if n.startswith(COMBINED_PREFIX) else n]
                          for n in names))
-    sums = _window_sums(samples, template.samples, k0, n_lags, need, stage)
+    sums = _window_sums(samples, template.samples, k0, n_lags, need, keep)
     for name in names:
         if not name.startswith(COMBINED_PREFIX):
             yield name, lags, profile_values(name, *sums, dx)
     if inner:
-        # stage 2 slides the template over each row's max-normalized classic profile
+        # stage 2 slides the template over each row's max-normalized classic
+        # profile; that object is this call's alone, so its sums are not kept
         stage1 = profile_values("classic", *sums, dx)
         del sums
         stage1 = max_normalized(stage1, out=stage1)
         for tag, lags2, values in _profiles(stage1, float(lags[0]), dx, template, inner,
-                                            boundary, stage + 1):
+                                            boundary, False):
             yield inner[tag], lags2, values
 
 
@@ -142,36 +152,34 @@ class _Entry:
 
 
 class _Memo(threading.local):
-    """This thread's kept window sums: its last one-row object's, then that object's stage 2's."""
+    """This thread's kept window sums: those of its last one-row object."""
 
     def __init__(self):
-        self.entries = [None, None]
+        self.entry = None
 
 
 _MEMO = _Memo()
 
 
-def _window_sums(samples, g, k0, n_lags, need, stage):
-    """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept per stage for one row.
+def _window_sums(samples, g, k0, n_lags, need, keep):
+    """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept for one row if keep.
 
-    An entry is keyed by content (samples' dtype and bytes, g's bytes, k0,
+    The entry is keyed by content (samples' dtype and bytes, g's bytes, k0,
     n_lags), so an object changed in place is a miss.  A hit adds only the
     sums the entry lacks: each sum is added in template order whatever else is
     asked, so a grown entry holds a full call's sums bit for bit, and a request
-    for AGW or SGW alone clips and multiplies nothing.  A miss drops this
-    stage's entry and the later stage's before the kernel runs.  Stacks of more
-    rows (the sweep's) pass straight through.
+    for AGW or SGW alone clips and multiplies nothing.  A miss drops the entry
+    before the kernel runs.  Stacks of more rows (the sweep's) pass straight
+    through.
     """
-    if samples.shape[0] != 1:
+    if not keep or samples.shape[0] != 1:
         return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
-    entries = _MEMO.entries
     key = (samples.dtype.str, samples.tobytes(), g.tobytes(), k0, n_lags)
-    entry = entries[stage]
+    entry = _MEMO.entry
     if entry is None or entry.key != key:
-        entry = None   # with the entries, so the old sums are freed before the kernel runs
-        entries[stage:] = [None] * (len(entries) - stage)
+        entry = _MEMO.entry = None   # so the old sums are freed before the kernel runs
         sums, *totals = kernels.sliding_sums(samples, g, k0, n_lags, need=need)
-        entries[stage] = entry = _Entry(key, set(need), sums, totals)
+        entry = _MEMO.entry = _Entry(key, set(need), sums, totals)
     elif missing := need - entry.added:
         rows = sorted(missing)
         entry.sums[rows] = kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0][rows]

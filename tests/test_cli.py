@@ -67,6 +67,19 @@ def test_correlate_noise_level_changes_profile(tmp_path, capsys):
     assert not np.allclose(clean, noisy)
 
 
+def test_correlate_stage_two_failure_names_the_combined_method(tmp_path, capsys):
+    # a 401-sample template fits the 640-sample object under valid, but not its
+    # 240-lag classic profile: the names before the combined one are written
+    code, out, err = _run(capsys, "correlate", "--boundary", "valid", "--template-width", "4",
+                          "--methods", "classic,combined_coincidence,jaccard",
+                          "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out.startswith("classic: x1=") and out.count("\n") == 1
+    assert err == ("error: method combined_coincidence: template (401) longer than"
+                   " object (240) under valid boundary\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["correlate_classic.csv"]
+
+
 def test_correlate_object_csv_roundtrip(tmp_path, capsys):
     obj = gen_object(ObjectSpec())
     csv_path = tmp_path / "object.csv"

@@ -245,6 +245,16 @@ def test_combined_smoother_under_heavy_noise():
     assert wins >= 4
 
 
+def _on_new_thread(call):
+    """call() on a new thread, whose memo starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
 @st.composite
 def stacks_and_names(draw):
     """Stacked objects, a template that fits them, a subset of the method names, a boundary."""
@@ -263,13 +273,15 @@ def stacks_and_names(draw):
 @settings(max_examples=200, deadline=None)
 def test_values_do_not_depend_on_other_names(case):
     # each call adds only the sums its names read: a name's values must not
-    # depend on which other names share the call
+    # depend on which other names share the call.  Each call runs on a new
+    # thread, whose memo is empty, so one-row calls reach the kernel too.
     f, tpl, names, boundary = case
-    together = {name: values for name, _, values in
-                profiles(f, -1.0, 0.25, tpl, names, boundary)}
+    together = _on_new_thread(lambda: {name: values for name, _, values in
+                                       profiles(f, -1.0, 0.25, tpl, names, boundary)})
     assert sorted(together) == sorted(names)
     for name in names:
-        [(_, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
+        [(_, _, alone)] = _on_new_thread(lambda: list(profiles(f, -1.0, 0.25, tpl, (name,),
+                                                               boundary)))
         assert together[name].tobytes() == alone.tobytes(), name
 
 
@@ -281,13 +293,7 @@ LONG_SIGNAL_NAMES = ("classic", "jaccard_real", "interiority", "coincidence",
 
 
 def _fresh(name, obj, tpl, boundary="pad"):
-    """method_profile on a new thread, whose memo starts empty."""
-    out = []
-    worker = threading.Thread(target=lambda: out.append(method_profile(name, obj, tpl, boundary)))
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive() and len(out) == 1
-    return out[0]
+    return _on_new_thread(lambda: method_profile(name, obj, tpl, boundary))
 
 
 def _same(got, want):
@@ -338,8 +344,8 @@ def test_memo_misses_on_samples_changed_in_place():
 
 def test_memo_is_per_thread(kernel_calls):
     # more threads than cores, switching often, each on its own object: each
-    # gets its own results, and its memo is its own, so after its first pass
-    # over the names its calls add nothing (a shared memo would miss often)
+    # gets its own results, and its memo is its own, so over 5 passes each sum
+    # of its object is added once (a shared memo would miss often)
     rng = np.random.default_rng(34)
     tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
     objects = [Signal(rng.uniform(-2.0, 2.0, 80), dx=0.25) for _ in range(4)]
@@ -366,14 +372,17 @@ def test_memo_is_per_thread(kernel_calls):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert wrong == []
-    threads = [thread for thread, _, _ in kernel_calls]
-    assert [threads.count(worker.ident) for worker in workers] == [5] * len(objects)
+    for worker, obj in zip(workers, objects):
+        added = [s for thread, f, need in kernel_calls
+                 if thread == worker.ident and f == obj.samples.tobytes() for s in need]
+        assert sorted(added) == sorted(kernels.ALL_SUMS)
 
 
-@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 4), (ALL_NAMES, 5)])
+@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 4), (ALL_NAMES, 8)])
 def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     # one call per method would make 8 kernel calls for the long-signal names
-    # and 16 for all 11 (each combined name also calls for its stage 1)
+    # and 16 for all 11 (each combined name also calls for its stage 1); stage
+    # 2 is not kept, so each combined name still makes that call of its own
     rng = np.random.default_rng(35)
     obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
@@ -382,11 +391,35 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     for name in names:
         method_profile(name, obj, tpl)
     assert len(kernel_calls) <= most, kernel_calls
-    # per object (the samples, then the combined names' stage 2) no sum is
-    # added twice, and a name that lacks only SGW asks the kernel for it alone
-    added = {}
-    for _, f, need in kernel_calls:
-        assert not need & added.setdefault(f, set()), (need, added[f])
-        added[f] |= need
-    assert len(added) == 2
-    assert any(need <= {kernels.AGW, kernels.SGW} for _, _, need in kernel_calls)
+    # on the object no sum is added twice, and a name that lacks only SGW
+    # asks the kernel for it alone
+    mine = [need for _, f, need in kernel_calls if f == obj.samples.tobytes()]
+    assert sorted(s for need in mine for s in need) == sorted(kernels.ALL_SUMS)
+    assert any(need <= {kernels.AGW, kernels.SGW} for need in mine)
+    assert len(kernel_calls) - len(mine) == sum(n.startswith("combined_") for n in names)
+
+
+def test_correlate_command_shares_one_pass_between_names(kernel_calls, tmp_path):
+    # the golden run's 11 names: one call for the object, one for the combined
+    # names' stage 2 (a method_profile call per name would make 8)
+    argv = ["correlate", "--normalize", "--noise-level", "12", "--seed", "4",
+            "--methods", ",".join(ALL_NAMES), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(kernel_calls) == 2, kernel_calls
+    assert len(list(tmp_path.glob("correlate_*.csv"))) == len(ALL_NAMES)
+
+
+def test_profiles_on_one_axis_share_read_only_lags():
+    # an object's profiles share one lag array per stage instead of one copy each
+    rng = np.random.default_rng(36)
+    obj = Signal(rng.uniform(-2.0, 2.0, 90), dx=0.2, x0=-3.0)
+    tpl = Signal(rng.uniform(-2.0, 2.0, 11), dx=0.2)
+    for boundary in ("pad", "valid"):
+        plain = [method_profile(name, obj, tpl, boundary) for name in ("classic", "coincidence")]
+        combined = [method_profile(name, obj, tpl, boundary)
+                    for name in ("combined_coincidence", "combined_jaccard_real")]
+        for first, second in (plain, combined):
+            assert first.lags is second.lags
+        assert not plain[0].lags.flags.writeable and not combined[0].lags.flags.writeable
+        with pytest.raises(ValueError):
+            plain[0].lags[0] = 0.0
