@@ -2,8 +2,10 @@
 
 The runs are a desk-scale `mfcorr bench` at seeds 0 and 7 (records.csv and
 aggregates.csv), `mfcorr pca --levels 0-20` on each of those records files
-(every projection and meta file), and one `mfcorr correlate --normalize
---noise-level 12 --seed 4` over all 11 method names (one profile file each).
+(every projection and meta file), and three `mfcorr correlate` runs over all
+11 method names (one profile file each): `--normalize --noise-level 12 --seed
+4` under each boundary, and a 9-sample template on an 8-sample grid, where no
+lag holds the whole template.
 The printed stdout of each run is digested too.  Each file's first line, the
 `#` comment that describes the run, is hashed apart from the rest, so a
 header change is told from a change of the numbers.  The numpy version is
@@ -40,6 +42,12 @@ RUNS = {
     "bench-seed7": ["bench", "--desk-scale", "--seed", "7"],
     "correlate": ["correlate", "--normalize", "--noise-level", "12", "--seed", "4",
                   "--methods", ",".join(ALL_METHODS)],
+    # every lag holds the whole template
+    "correlate-valid": ["correlate", "--boundary", "valid", "--normalize", "--noise-level",
+                        "12", "--seed", "4", "--methods", ",".join(ALL_METHODS)],
+    # a 9-sample template on an 8-sample object: no lag holds the whole template
+    "correlate-short-grid": ["correlate", "--grid-n", "8", "--template-width", "6.0",
+                             "--methods", ",".join(ALL_METHODS)],
 }
 # run on the records.csv of each bench run, keyed pca-seed<n>
 PCA_ARGV = ["pca", "--levels", "0-20"]
