@@ -16,8 +16,8 @@ from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
                          ObjectSpec, TemplateSpec, add_noise, gen_object, gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
-from .sweep import (DEFAULT_METHODS, SweepConfig, run_header, run_sweep, scene_fields,
-                    write_aggregates_csv, write_csv, write_records_csv)
+from .sweep import (DEFAULT_METHODS, SweepConfig, require_distinct, run_header, run_sweep,
+                    scene_fields, write_aggregates_csv, write_csv, write_records_csv)
 
 class CliError(Exception):
     """User-facing failure; printed as a single line and exits nonzero."""
@@ -100,14 +100,18 @@ def _parse_levels(text: str) -> tuple[int, ...]:
                 raise CliError(f"bad level {part!r}") from None
     if not levels:
         raise CliError("no noise levels given")
+    require_distinct("noise level", levels)
     return tuple(levels)
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
+    """Canonical method names of a comma list; an alias repeats its canonical name."""
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise CliError("no methods given")
-    return tuple(canonical_method(n) for n in names)
+    methods = tuple(canonical_method(n) for n in names)
+    require_distinct("method", methods)
+    return methods
 
 
 def _object_spec(args: argparse.Namespace) -> ObjectSpec:

@@ -20,7 +20,8 @@ method_profile is its one-object form.
 
 The paper's framework runs several methods on one object, so each thread keeps
 its last one-row object's window sums: a later name adds only the sums it lacks
-(_window_sums).  The combined names' stage 2 and the sweep's stacks bypass it.
+(_window_sums), and one that lacks only the template's sums (AGW, SGW) makes no
+kernel call.  The combined names' stage 2 and the sweep's stacks bypass it.
 """
 
 from __future__ import annotations
@@ -167,10 +168,11 @@ def _window_sums(samples, g, k0, n_lags, need, keep):
     The entry is keyed by content (samples' dtype and bytes, g's bytes, k0,
     n_lags), so an object changed in place is a miss.  A hit adds only the
     sums the entry lacks: each sum is added in template order whatever else is
-    asked, so a grown entry holds a full call's sums bit for bit, and a request
-    for AGW or SGW alone clips and multiplies nothing.  A miss drops the entry
-    before the kernel runs.  Stacks of more rows (the sweep's) pass straight
-    through.
+    asked, so a grown entry holds a full call's sums bit for bit.  AGW and SGW
+    read the template and the lag geometry alone, so a hit that lacks only
+    those takes them from kernels.template_sums, with no kernel call.  A miss
+    drops the entry before the kernel runs.  Stacks of more rows (the sweep's)
+    pass straight through.
     """
     if not keep or samples.shape[0] != 1:
         return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
@@ -181,8 +183,13 @@ def _window_sums(samples, g, k0, n_lags, need, keep):
         sums, *totals = kernels.sliding_sums(samples, g, k0, n_lags, need=need)
         entry = _MEMO.entry = _Entry(key, set(need), sums, totals)
     elif missing := need - entry.added:
-        rows = sorted(missing)
-        entry.sums[rows] = kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0][rows]
+        if missing <= kernels.TEMPLATE_SUMS:
+            for s, row in kernels.template_sums(g, samples.shape[1], k0, n_lags,
+                                                need=missing).items():
+                entry.sums[s] = row
+        else:
+            rows = sorted(missing)
+            entry.sums[rows] = kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0][rows]
         entry.added |= missing
     return entry.sums, *entry.totals
 

@@ -47,6 +47,15 @@ AGGREGATE_COLUMNS = ("method", "level", "n_total") + tuple(
     f"{name}_{stat}" for name in INDEX_NAMES for stat in ("mean", "std", "n"))
 
 
+def require_distinct(what: str, items) -> None:
+    """Reject the first item that repeats an earlier one, naming it as `what item`."""
+    seen = set()
+    for v in items:
+        if v in seen:
+            raise DomainError(f"{what} {v} given more than once")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     methods: tuple[str, ...] = DEFAULT_METHODS
@@ -67,12 +76,8 @@ class SweepConfig:
         for v in self.levels:
             if not (0 <= v < N_NOISE_LEVELS):
                 raise DomainError(f"noise level {v} out of range 0..{N_NOISE_LEVELS - 1}")
-        for what, items in (("method", self.methods), ("noise level", self.levels)):
-            seen = set()
-            for v in items:
-                if v in seen:
-                    raise DomainError(f"{what} {v} given more than once")
-                seen.add(v)
+        require_distinct("method", self.methods)
+        require_distinct("noise level", self.levels)
         if self.realizations < 1:
             raise DomainError("realizations must be >= 1")
         if self.boundary not in BOUNDARIES:

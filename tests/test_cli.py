@@ -7,6 +7,8 @@ from mfcorr import ObjectSpec, cli, gen_object
 from mfcorr.cli import CliError, _parse_levels, _parse_methods, main
 from mfcorr.sweep import RECORD_COLUMNS
 
+from golden.make_digests import SMALL_RECORDS
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -228,15 +230,25 @@ def test_bench_bad_levels(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,repeated", [
     ("--levels", "3,3", "noise level 3"),
     ("--methods", "jaccard,jaccard_real", "method jaccard_real"),
+    ("--methods", "classic,classic", "method classic"),
+    ("--levels", "0-2,1", "noise level 1"),
 ])
 def test_bench_repeated_levels_or_methods_rejected(tmp_path, capsys, flag, value, repeated):
-    argv = {"--levels": "3", "--methods": "classic", flag: value}
-    code, out, err = _run(capsys, "bench", "--realizations", "2",
-                          *(x for item in argv.items() for x in item),
-                          "--out-dir", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err == f"error: {repeated} given more than once\n"
-    assert not (tmp_path / "records.csv").exists()
+    # correlate and pca refuse a repeat as bench does: one line, before any output
+    commands = {
+        "bench": ["--realizations", "2", "--levels", "3", "--methods", "classic"],
+        "pca": ["--records", str(SMALL_RECORDS), "--levels", "10", "--methods", "classic"],
+        "correlate": ["--methods", "classic"],   # takes no --levels
+    }
+    for command, argv in commands.items():
+        if flag not in argv:
+            continue
+        argv[argv.index(flag) + 1] = value
+        out_dir = tmp_path / command
+        code, out, err = _run(capsys, command, *argv, "--out-dir", str(out_dir))
+        assert code == 1 and out == "", command
+        assert err == f"error: {repeated} given more than once\n", command
+        assert not out_dir.exists(), command
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):

@@ -345,7 +345,8 @@ def test_memo_misses_on_samples_changed_in_place():
 def test_memo_is_per_thread(kernel_calls):
     # more threads than cores, switching often, each on its own object: each
     # gets its own results, and its memo is its own, so over 5 passes each sum
-    # of its object is added once (a shared memo would miss often)
+    # that reads its object (SM, UM, DOT) is added once (a shared memo would
+    # miss often)
     rng = np.random.default_rng(34)
     tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
     objects = [Signal(rng.uniform(-2.0, 2.0, 80), dx=0.25) for _ in range(4)]
@@ -375,14 +376,16 @@ def test_memo_is_per_thread(kernel_calls):
     for worker, obj in zip(workers, objects):
         added = [s for thread, f, need in kernel_calls
                  if thread == worker.ident and f == obj.samples.tobytes() for s in need]
-        assert sorted(added) == sorted(kernels.ALL_SUMS)
+        object_sums = [s for s in added if s not in kernels.TEMPLATE_SUMS]
+        assert sorted(object_sums) == [kernels.SM, kernels.UM, kernels.DOT]
 
 
-@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 4), (ALL_NAMES, 8)])
+@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 3), (ALL_NAMES, 7)])
 def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     # one call per method would make 8 kernel calls for the long-signal names
     # and 16 for all 11 (each combined name also calls for its stage 1); stage
-    # 2 is not kept, so each combined name still makes that call of its own
+    # 2 is not kept, so each combined name still makes that call of its own.
+    # A name that lacks only SGW (jaccard_addition) makes none.
     rng = np.random.default_rng(35)
     obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
@@ -391,11 +394,13 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     for name in names:
         method_profile(name, obj, tpl)
     assert len(kernel_calls) <= most, kernel_calls
-    # on the object no sum is added twice, and a name that lacks only SGW
-    # asks the kernel for it alone
+    # on the object no sum is added twice, each sum that reads it is added, and
+    # no kernel call is made for AGW or SGW alone (they read the template alone)
     mine = [need for _, f, need in kernel_calls if f == obj.samples.tobytes()]
-    assert sorted(s for need in mine for s in need) == sorted(kernels.ALL_SUMS)
-    assert any(need <= {kernels.AGW, kernels.SGW} for need in mine)
+    added = sorted(s for need in mine for s in need)
+    assert added == sorted(set(added))
+    assert {kernels.SM, kernels.UM, kernels.DOT} <= set(added)
+    assert not any(need <= kernels.TEMPLATE_SUMS for need in mine)
     assert len(kernel_calls) - len(mine) == sum(n.startswith("combined_") for n in names)
 
 

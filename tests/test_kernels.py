@@ -1,4 +1,5 @@
-"""Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks."""
+"""Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks,
+and the template-only sums (AGW, SGW) against a loop over the template."""
 
 import numpy as np
 import pytest
@@ -171,6 +172,46 @@ def test_stack_rows_equal_single_calls(case):
         assert sums[:, r].tobytes() == one[:, 0].tobytes()
         assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
         np.testing.assert_array_equal(sums[:, r], naive_sums(row, g, k0, n_lags)[:, 0])
+
+
+def template_loop_sums(g, n, k0, n_lags):
+    """AGW and SGW as a loop over the template adds them: each step's term into zeros, per lag."""
+    agw, sgw = np.zeros((2, n_lags))
+    for j, gj in enumerate(g.tolist()):
+        lo, hi = max(0, -(k0 + j)), min(n_lags, n - k0 - j)
+        if lo < hi:
+            agw[lo:hi] += abs(gj)
+            sgw[lo:hi] += gj
+    return agw, sgw
+
+
+@st.composite
+def template_sum_cases(draw):
+    """A stack, a template with negatives, +0.0 and -0.0, and any lag range, off-grid lags too."""
+    rows, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 60)), draw(st.integers(1, 40))
+    k0, n_lags = draw(st.integers(-m - 3, n + 3)), draw(st.integers(1, n + m + 5))
+    values = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-5.0, 5.0, allow_nan=False))
+    g = draw(hnp.arrays(np.float64, m, elements=values))
+    f = draw(hnp.arrays(np.float64, (rows, n), elements=st.floats(-5.0, 5.0)))
+    return f, g, k0, n_lags
+
+
+@given(template_sum_cases())
+@example((np.ones((2, 8)), np.full(9, -0.0), -4, 8))                  # all -0.0, no full lag
+@example((np.ones((1, 8)), np.linspace(-2.0, 2.0, 9), -4, 8))         # short grid, all edges
+@example((np.ones((1, 5)), np.array([-0.0, 0.0, -1.5, 1.5, -0.0]), -8, 20))  # off both ends
+@settings(max_examples=300, deadline=None)
+def test_template_sums_match_template_loop(case):
+    f, g, k0, n_lags = case
+    agw, sgw = template_loop_sums(g, f.shape[1], k0, n_lags)
+    sums, *totals = sliding_sums(f, g, k0, n_lags, need={AGW, SGW})
+    assert np.isnan(sums[[SM, UM, DOT]]).all()
+    for r, row in enumerate(f):
+        assert sums[AGW, r].tobytes() == agw.tobytes()
+        assert sums[SGW, r].tobytes() == sgw.tobytes()
+        one, *one_totals = sliding_sums(row, g, k0, n_lags, need={AGW, SGW})
+        assert sums[:, r].tobytes() == one[:, 0].tobytes()
+        assert [t[r] for t in totals] == [t[0] for t in one_totals]
 
 
 def test_paper_scale_stack_rows_equal_single_calls():
