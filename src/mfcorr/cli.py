@@ -163,9 +163,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     obj = _load_object_csv(args.object) if args.object else gen_object(spec)
     template_spec = TemplateSpec(args.template_width, args.template_amplitude)
     template = gen_template(template_spec, obj.dx)
+    # checked at level 0 too, as the header records it
+    noise = NoiseSpec(args.noise_level, args.seed, args.realization, args.noise_multiplier)
     if args.noise_level:
-        noise = NoiseSpec(args.noise_level, args.seed, args.realization,
-                          args.noise_multiplier)
         obj = add_noise(obj, noise)
 
     methods = _parse_methods(args.methods)

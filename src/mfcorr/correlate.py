@@ -147,8 +147,7 @@ def _profiles(samples, x0, dx, template, names, boundary, keep):
 @dataclass
 class _Entry:
     key: tuple
-    added: set            # the sums in sums that are not NaN placeholders
-    sums: np.ndarray      # (N_SUMS, 1, n_lags)
+    sums: dict            # kernels.sliding_sums' {index: (1, n_lags) or (n_lags,)}
     totals: list
 
 
@@ -181,16 +180,13 @@ def _window_sums(samples, g, k0, n_lags, need, keep):
     if entry is None or entry.key != key:
         entry = _MEMO.entry = None   # so the old sums are freed before the kernel runs
         sums, *totals = kernels.sliding_sums(samples, g, k0, n_lags, need=need)
-        entry = _MEMO.entry = _Entry(key, set(need), sums, totals)
-    elif missing := need - entry.added:
+        entry = _MEMO.entry = _Entry(key, sums, totals)
+    elif missing := need.difference(entry.sums):
         if missing <= kernels.TEMPLATE_SUMS:
-            for s, row in kernels.template_sums(g, samples.shape[1], k0, n_lags,
-                                                need=missing).items():
-                entry.sums[s] = row
+            entry.sums.update(kernels.template_sums(g, samples.shape[1], k0, n_lags,
+                                                    need=missing))
         else:
-            rows = sorted(missing)
-            entry.sums[rows] = kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0][rows]
-        entry.added |= missing
+            entry.sums.update(kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0])
     return entry.sums, *entry.totals
 
 

@@ -17,6 +17,13 @@ DEFAULT_TEMPLATE_AMPLITUDE = 2.0
 N_NOISE_LEVELS = 21
 
 
+def _require_finite(values: dict) -> None:
+    """Refuse a spec field that is inf or NaN, by its name, before any check compares it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """Two-Gaussian object: principal peak (h_p, sigma_p, x_p) plus secondary."""
@@ -30,6 +37,10 @@ class ObjectSpec:
     grid: tuple[float, float, int] = DEFAULT_GRID
 
     def __post_init__(self):
+        start, end, n = self.grid
+        _require_finite({"h_p": self.h_p, "h_s": self.h_s, "sigma_p": self.sigma_p,
+                         "sigma_s": self.sigma_s, "x_p": self.x_p, "x_s": self.x_s,
+                         "grid start": start, "grid end": end})
         if not (self.h_p > self.h_s > 0):
             raise DomainError(f"need h_p > h_s > 0, got h_p={self.h_p}, h_s={self.h_s}")
         if self.sigma_p <= 0 or self.sigma_s <= 0:
@@ -38,7 +49,6 @@ class ObjectSpec:
             raise DomainError("peak positions must differ")
         if self.x_p == 0 or self.x_s == 0:
             raise DomainError("peak positions serve as relative-error scales and must be nonzero")
-        start, end, n = self.grid
         if not (n >= 2 and end > start):
             raise DomainError(f"degenerate grid {self.grid}")
         for pos, sigma, name in ((self.x_p, self.sigma_p, "principal"),
@@ -60,6 +70,7 @@ class TemplateSpec:
     amplitude: float = DEFAULT_TEMPLATE_AMPLITUDE
 
     def __post_init__(self):
+        _require_finite({"template width": self.width, "template amplitude": self.amplitude})
         if self.width <= 0 or self.amplitude <= 0:
             raise DomainError("template width and amplitude must be positive")
 
@@ -83,6 +94,7 @@ class NoiseSpec:
             raise DomainError(f"noise level must be in 0..{N_NOISE_LEVELS - 1}, got {self.level}")
         if self.realization < 0:
             raise DomainError("realization index must be non-negative")
+        _require_finite({"noise multiplier": self.multiplier})
         if self.multiplier < 0:
             raise DomainError("noise multiplier must be non-negative")
 

@@ -67,7 +67,7 @@ def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
     require_aligned(f, g)
     sums, abs_total, _ = aligned_sums(f.samples, g.samples, need={UM, AGW})
-    return float(f.dx * ((abs_total[0] + sums[AGW, 0, 0]) - sums[UM, 0, 0]))
+    return float(f.dx * ((abs_total[0] + sums[AGW][0, 0]) - sums[UM][0, 0]))
 
 
 def s_plus(f: Signal, g: Signal) -> float:
@@ -82,10 +82,11 @@ def s_minus(f: Signal, g: Signal) -> float:
     return float(0.5 * (integrals[UM] - integrals[SM]))
 
 
-def _integrals(f: Signal, g: Signal) -> np.ndarray:
-    """dx times kernels.aligned_sums' SM and UM for an aligned pair (the others NaN)."""
+def _integrals(f: Signal, g: Signal) -> dict:
+    """dx times kernels.aligned_sums' SM and UM for an aligned pair."""
     require_aligned(f, g)
-    return f.dx * aligned_sums(f.samples, g.samples, need={SM, UM})[0][:, 0, 0]
+    sums = aligned_sums(f.samples, g.samples, need={SM, UM})[0]
+    return {s: f.dx * v[0, 0] for s, v in sums.items()}
 
 
 def s_pm(f: Signal, g: Signal, alpha: float = 0.5, normalized: bool = False) -> float:
@@ -108,7 +109,7 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -
     return num
 
 
-def profile_values(tag: str, sums: np.ndarray, abs_total: np.ndarray,
+def profile_values(tag: str, sums: dict, abs_total: np.ndarray,
                    sum_total: np.ndarray, dx: float) -> np.ndarray:
     """Index values (R, n_lags) from kernels.sliding_sums output, a row per object."""
     if tag == "classic":
@@ -141,7 +142,7 @@ def profile_values(tag: str, sums: np.ndarray, abs_total: np.ndarray,
     return jac
 
 
-def _interiority_values(sums: np.ndarray, abs_total: np.ndarray, dx: float) -> np.ndarray:
+def _interiority_values(sums: dict, abs_total: np.ndarray, dx: float) -> np.ndarray:
     num = dx * sums[UM]
     den = np.minimum(abs_total, sums[AGW])
     den *= dx

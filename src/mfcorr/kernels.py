@@ -10,22 +10,22 @@ and ignored off the object grid):
     index 3  SGW  sum of g over the overlap window
     index 4  DOT  sum of f*g
 
-Each formula reads a few of them (indices.SUMS_READ), so a call adds only the
-sums in its `need` set; the others read NaN.  There is no window matrix:
-sliding_sums loops over the template samples and adds each one's terms, for
-R stacked objects and every lag at once, lag-major: over an (n, R) copy of the
-objects, into one (n_lags, R) accumulator per sum, so a template step's window,
-scratch and accumulators are each one contiguous block.  After the loop each
-sum is transposed once into the (N_SUMS, R, n_lags) result, returned beside
-the objects' (R,) totals of |f| and f; memory is O(R * (n + n_lags)).  SM and
-UM share one clip.  AGW and SGW read the template and the lag geometry
-(g, n, k0, n_lags) alone, never the object, so they come from template_sums
-and the loop runs only for SM, UM or DOT: the lags that hold the whole
-template share one value, and only the at most 2m edge lags get their own.
-Each sum is added in template order starting from 0.0, whatever else is
-asked, so its bits do not depend on `need` or on where it is added.
-aligned_sums reduces the sums in `need` over an aligned pair, for the
-whole-signal functionals, in that layout as one row and one lag.
+Each formula reads a few of them (indices.SUMS_READ), so a call adds and
+returns only the sums in its `need` set, as {index: sums}.  There is no window
+matrix: sliding_sums loops over the template samples and adds each one's
+terms, for R stacked objects and every lag at once, lag-major: over an (n, R)
+copy of the objects, into one (n_lags, R) accumulator per sum, so a template
+step's window, scratch and accumulators are each one contiguous block.  After
+the loop each of SM, UM and DOT is transposed once into its (R, n_lags) sums,
+beside the objects' (R,) totals of |f| and f; memory is O(R * (n + n_lags)).
+SM and UM share one clip.  AGW and SGW read the template and the lag geometry
+(g, n, k0, n_lags) alone, never the object, so they come from template_sums as
+one (n_lags,) row that every object shares, and the loop runs only for SM, UM
+or DOT: the lags that hold the whole template share one value, and only the at
+most 2m edge lags get their own.  Each sum is added in template order starting
+from 0.0, whatever else is asked, so its bits do not depend on `need` or on
+where it is added.  aligned_sums reduces the sums in `need` over an aligned
+pair, for the whole-signal functionals, in that form as one row and one lag.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import numpy as np
 ACTIVE_BACKEND = "numpy"
 
 SM, UM, AGW, SGW, DOT = range(5)
-N_SUMS = 5
-ALL_SUMS = frozenset(range(N_SUMS))
+ALL_SUMS = frozenset(range(5))
 TEMPLATE_SUMS = frozenset({AGW, SGW})
 
 
@@ -81,34 +80,30 @@ def template_sums(g: np.ndarray, n: int, k0: int, n_lags: int, *, need=TEMPLATE_
 def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL_SUMS):
     """Window sums for lags k0 .. k0+n_lags-1 of a stack (R, n) against g; (n,) is R=1.
 
-    Returns sums (N_SUMS, R, n_lags), NaN where an index is not in need, and
-    each object's full-grid sums of |f| and f, (R,) each; a stack's rows get
-    exactly one-row calls' sums.  The sums are added lag-major, in (n_lags, R)
-    accumulators over the objects' (n, R) columns, so each template step works
-    on contiguous blocks; each is transposed once into the result at the end.
-    AGW and SGW come from template_sums, the same row for every object.
+    Returns {index: sums} for the indices in need, and each object's full-grid
+    sums of |f| and f, (R,) each.  SM, UM and DOT are (R, n_lags), a stack's
+    rows exactly one-row calls' sums; AGW and SGW are template_sums' one
+    (n_lags,) row, the same for every object.
     """
     # C order, so each row's totals add in a one-row call's order (numpy sums
     # pairwise only along the inner axis)
     rows = np.ascontiguousarray(np.atleast_2d(f))
-    n_rows, n = rows.shape
     # first, so that the |f| temporary is gone before the buffers below exist
     totals = np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
-    template = template_sums(g, n, k0, n_lags, need=need)
-    sm, um, dot = _object_sums(rows, g, k0, n_lags, need)
-    sums = np.empty((N_SUMS, n_rows, n_lags))
-    for s, added in enumerate((sm, um, template.get(AGW), template.get(SGW), dot)):
-        sums[s] = np.nan if added is None else added.T
+    sums = template_sums(g, rows.shape[1], k0, n_lags, need=need)
+    for s, lag_major in _object_sums(rows, g, k0, n_lags, need).items():
+        sums[s] = np.ascontiguousarray(lag_major.T)   # a view at R = 1
     return sums, *totals
 
 
 def _object_sums(rows, g, k0, n_lags, need):
-    """SM, UM and DOT (n_lags, R) of the (R, n) rows, None where not in need; the only
+    """{SM, UM, DOT: (n_lags, R)}, those in need, of the (R, n) rows; the only
     pass over the objects, made only if one of them is needed."""
     n_rows, n = rows.shape
-    sm, um, dot = (np.zeros((n_lags, n_rows)) if s in need else None for s in (SM, UM, DOT))
-    if sm is None and um is None and dot is None:
-        return sm, um, dot
+    acc = {s: np.zeros((n_lags, n_rows)) for s in (SM, UM, DOT) if s in need}
+    if not acc:
+        return acc
+    sm, um, dot = (acc.get(s) for s in (SM, UM, DOT))
     cols = np.ascontiguousarray(rows.T)   # a view at R = 1
     scratch = np.empty((n_lags, n_rows))
     for j, gj in enumerate(g.tolist()):
@@ -129,27 +124,19 @@ def _object_sums(rows, g, k0, n_lags, need):
                 np.add(um[lo:hi], np.abs(out, out=out), out=um[lo:hi])
         if dot is not None:
             np.add(dot[lo:hi], np.multiply(fw, gj, out=out), out=dot[lo:hi])
-    return sm, um, dot
+    return acc
 
 
 def aligned_sums(f: np.ndarray, g: np.ndarray, *, need=ALL_SUMS):
-    """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap).
-
-    As there, only the sums in need are added and the others read NaN.
-    """
-    sums = np.full((N_SUMS, 1, 1), np.nan)
+    """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap)."""
     ga = np.abs(g)
+    terms = {AGW: ga, SGW: g}
     if SM in need or UM in need:
         # np.clip(f, -ga, ga) bit for bit, ties and NaN included, without its wrapper
-        sm = np.sign(g) * np.minimum(ga, np.maximum(-ga, f))
-        if SM in need:
-            sums[SM] = np.add.reduce(sm)
+        terms[SM] = np.sign(g) * np.minimum(ga, np.maximum(-ga, f))
         if UM in need:
-            sums[UM] = np.add.reduce(np.abs(sm))
-    if AGW in need:
-        sums[AGW] = np.add.reduce(ga)
-    if SGW in need:
-        sums[SGW] = np.add.reduce(g)
+            terms[UM] = np.abs(terms[SM])
     if DOT in need:
-        sums[DOT] = np.add.reduce(f * g)
+        terms[DOT] = f * g
+    sums = {s: np.add.reduce(terms[s]).reshape(1, 1) for s in need}
     return sums, *(np.add.reduce(t, keepdims=True) for t in (np.abs(f), f))

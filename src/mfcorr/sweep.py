@@ -80,6 +80,7 @@ class SweepConfig:
         require_distinct("noise level", self.levels)
         if self.realizations < 1:
             raise DomainError("realizations must be >= 1")
+        NoiseSpec(multiplier=self.noise_multiplier)   # refuses a negative or non-finite one
         if self.boundary not in BOUNDARIES:
             raise DomainError(f"unknown boundary policy {self.boundary!r}")
 

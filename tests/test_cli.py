@@ -291,7 +291,14 @@ def test_config_file_bad_value(tmp_path, capsys):
     ([], "the following arguments are required: command"),
     (["bench", "--threads", "2"], "unrecognized arguments: --threads 2"),
     (["bench", "--methods", ""], "no methods given"),
+    (["correlate", "--template-amplitude", "inf"], "template amplitude must be finite, got inf"),
+    (["correlate", "--grid-end", "inf"], "grid end must be finite, got inf"),
+    (["bench", "--noise-multiplier", "nan", "--levels", "0"],
+     "noise multiplier must be finite, got nan"),
+    # level 0 adds no noise, but the header would record the multiplier
+    (["correlate", "--noise-multiplier", "inf"], "noise multiplier must be finite, got inf"),
 ])
+@pytest.mark.filterwarnings("error")   # and no numpy warning before the error line
 def test_bad_flag_is_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""

@@ -13,9 +13,10 @@ from hypothesis.extra import numpy as hnp
 import oracles as orc
 from mfcorr import (AlignmentError, DomainError, ObjectSpec, Signal, SweepConfig,
                     TemplateSpec, gen_object, gen_template, method_profile)
-from mfcorr import kernels
+from mfcorr import correlate, kernels
 from mfcorr.cli import main
 from mfcorr.correlate import profiles
+from mfcorr.indices import SUMS_READ
 
 MULTISET_TAGS = ("jaccard_real", "interiority", "coincidence",
                  "jaccard_addition", "coincidence_addition")
@@ -391,8 +392,12 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
     method_profile("classic", Signal(np.ones(5), dx=0.1), tpl)   # a different object last
     kernel_calls.clear()
+    asked = set()
     for name in names:
         method_profile(name, obj, tpl)
+        # the kept entry holds just the sums asked for on the object so far
+        asked |= SUMS_READ["classic" if name.startswith("combined_") else name]
+        assert correlate._MEMO.entry.sums.keys() == asked, name
     assert len(kernel_calls) <= most, kernel_calls
     # on the object no sum is added twice, each sum that reads it is added, and
     # no kernel call is made for AGW or SGW alone (they read the template alone)

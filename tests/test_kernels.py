@@ -1,5 +1,6 @@
 """Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks,
-and the template-only sums (AGW, SGW) against a loop over the template."""
+only the sums asked for, and the template-only sums (AGW, SGW) against a loop over the
+template."""
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ import oracles as orc
 from mfcorr.correlate import METHOD_TAGS
 from mfcorr.generators import ObjectSpec, TemplateSpec, gen_template
 from mfcorr.indices import SUMS_READ, profile_values
-from mfcorr.kernels import AGW, DOT, N_SUMS, SGW, SM, UM, sliding_sums
+from mfcorr.kernels import AGW, ALL_SUMS, DOT, SGW, SM, TEMPLATE_SUMS, UM, sliding_sums
 
 
 def naive_sums(f, g, k0, n_lags):
-    """Per-lag window sums by explicit loops over the full object grid, as one kernel row."""
+    """Per-lag window sums by explicit loops over the full object grid, as one row of stacked()."""
     n, m = f.size, g.size
-    out = np.zeros((N_SUMS, 1, n_lags))
+    out = np.zeros((len(ALL_SUMS), 1, n_lags))
     for k in range(n_lags):
         gm = orc._shifted_template(n, g, k0 + k)
         sm = um = agw = sgw = dot = 0.0
@@ -37,6 +38,16 @@ def naive_sums(f, g, k0, n_lags):
     return out
 
 
+def stacked(sums, n_rows, n_lags):
+    """An all-sums call's {index: sums} as one (5, R, n_lags) block, each shape checked:
+    (R, n_lags) for SM, UM and DOT, one (n_lags,) row that every object shares for AGW
+    and SGW."""
+    assert sums.keys() == ALL_SUMS
+    for s, values in sums.items():
+        assert values.shape == ((n_lags,) if s in TEMPLATE_SUMS else (n_rows, n_lags)), s
+    return np.stack([np.broadcast_to(sums[s], (n_rows, n_lags)) for s in sorted(sums)])
+
+
 @pytest.mark.parametrize("n,m,k0", [
     (32, 7, -3),     # centered pad geometry
     (32, 7, 0),      # valid geometry
@@ -53,9 +64,8 @@ def test_window_sums_match_naive(n, m, k0):
     n_lags = n if k0 < 0 else n - min(m, n) + 1
     want = naive_sums(f, g, k0, n_lags)
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
-    assert sums.shape == (N_SUMS, 1, n_lags)
     # every sum gets the naive loop's terms in template order, so equal to the bit
-    np.testing.assert_array_equal(sums, want)
+    np.testing.assert_array_equal(stacked(sums, 1, n_lags), want)
     assert abs_total[0] == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
     assert sum_total[0] == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
 
@@ -65,11 +75,11 @@ def test_offgrid_template_samples_ignored():
     f = np.ones(6)
     g = np.ones(4)
     sums, abs_total, _ = sliding_sums(f, g, -2, 1)
-    assert sums[AGW, 0, 0] == 2.0   # only 2 of 4 template samples on-grid
-    assert sums[SGW, 0, 0] == 2.0
-    assert sums[UM, 0, 0] == 2.0
-    assert sums[DOT, 0, 0] == 2.0
-    assert sums[SM, 0, 0] == 2.0
+    assert sums[AGW][0] == 2.0   # only 2 of 4 template samples on-grid
+    assert sums[SGW][0] == 2.0
+    assert sums[UM][0, 0] == 2.0
+    assert sums[DOT][0, 0] == 2.0
+    assert sums[SM][0, 0] == 2.0
     assert abs_total[0] == 6.0
 
 
@@ -79,22 +89,24 @@ def test_zero_lag_window_equals_head():
     sums, _, _ = sliding_sums(f, g, 0, 6)
     # window at lag k covers f[k:k+3]
     for k in range(6):
-        assert sums[DOT, 0, k] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
+        assert sums[DOT][0, k] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
 
 
-def test_sums_not_needed_read_nan():
+def test_only_needed_sums_returned():
     rng = np.random.default_rng(4)
     f, g = rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 5)
     full, abs_total, sum_total = sliding_sums(f, g, -2, 20)
-    sums, *totals = sliding_sums(f, g, -2, 20, need={DOT})
-    assert np.isnan(sums[[SM, UM, AGW, SGW]]).all()
-    assert sums[DOT].tobytes() == full[DOT].tobytes()
-    assert [t.tobytes() for t in totals] == [abs_total.tobytes(), sum_total.tobytes()]
+    for need in ({DOT}, {SM, SGW}, {UM, AGW, DOT}):
+        sums, *totals = sliding_sums(f, g, -2, 20, need=need)
+        assert sums.keys() == need
+        for s in need:
+            assert sums[s].tobytes() == full[s].tobytes(), s
+        assert [t.tobytes() for t in totals] == [abs_total.tobytes(), sum_total.tobytes()]
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_formulas_read_only_their_sums(tag):
-    # with NaN in every sum the table leaves out, the values are those of all five
+    # from only the sums the table names, the values are those of all five
     rng = np.random.default_rng(5)
     f, g = rng.uniform(-3, 3, (2, 30)), rng.uniform(-3, 3, 7)
     f[:, ::4] = 0.0
@@ -124,10 +136,11 @@ def test_long_signal_with_offset_matches_naive(offset):
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n)
     lags = sorted({0, 1, 59, 60, n - 61, n - 60, n - 1, *rng.integers(0, n, 8).tolist()})
     want = np.concatenate([naive_sums(f, g, k0 + k, 1) for k in lags], axis=2)
-    np.testing.assert_allclose(sums[:, :, lags], want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(stacked(sums, 1, n)[:, :, lags], want, rtol=1e-14, atol=0)
+    sums = {s: values[..., lags] for s, values in sums.items()}
     want_totals = np.array([orc.o_abs_area(f, 1.0)]), np.array([float(sum(f.tolist()))])
     for tag in METHOD_TAGS:
-        got = profile_values(tag, sums[:, :, lags], abs_total, sum_total, dx)
+        got = profile_values(tag, sums, abs_total, sum_total, dx)
         ref = profile_values(tag, want, *want_totals, dx)
         scale = max(1.0, float(np.max(np.abs(ref))))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale, err_msg=tag)
@@ -166,10 +179,10 @@ def stacked_cases(draw):
 def test_stack_rows_equal_single_calls(case):
     f, g, k0, n_lags = case
     sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
-    assert sums.shape == (N_SUMS, f.shape[0], n_lags)
+    sums = stacked(sums, f.shape[0], n_lags)
     for r, row in enumerate(f):
         one, one_abs, one_sum = sliding_sums(row, g, k0, n_lags)
-        assert sums[:, r].tobytes() == one[:, 0].tobytes()
+        assert sums[:, r].tobytes() == stacked(one, 1, n_lags)[:, 0].tobytes()
         assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
         np.testing.assert_array_equal(sums[:, r], naive_sums(row, g, k0, n_lags)[:, 0])
 
@@ -205,12 +218,13 @@ def test_template_sums_match_template_loop(case):
     f, g, k0, n_lags = case
     agw, sgw = template_loop_sums(g, f.shape[1], k0, n_lags)
     sums, *totals = sliding_sums(f, g, k0, n_lags, need={AGW, SGW})
-    assert np.isnan(sums[[SM, UM, DOT]]).all()
+    assert sums.keys() == {AGW, SGW}
+    # one row that every object of the stack shares
+    assert sums[AGW].tobytes() == agw.tobytes()
+    assert sums[SGW].tobytes() == sgw.tobytes()
     for r, row in enumerate(f):
-        assert sums[AGW, r].tobytes() == agw.tobytes()
-        assert sums[SGW, r].tobytes() == sgw.tobytes()
         one, *one_totals = sliding_sums(row, g, k0, n_lags, need={AGW, SGW})
-        assert sums[:, r].tobytes() == one[:, 0].tobytes()
+        assert [one[s].tobytes() for s in (AGW, SGW)] == [agw.tobytes(), sgw.tobytes()]
         assert [t[r] for t in totals] == [t[0] for t in one_totals]
 
 
@@ -223,7 +237,8 @@ def test_paper_scale_stack_rows_equal_single_calls():
     f[rng.uniform(size=f.shape) < 0.05] = 0.0
     k0 = -((template.size - 1) // 2)
     sums, abs_total, sum_total = sliding_sums(f, template, k0, 640)
+    sums = stacked(sums, 300, 640)
     for r, row in enumerate(f):
         one, one_abs, one_sum = sliding_sums(row, template, k0, 640)
-        assert sums[:, r].tobytes() == one[:, 0].tobytes(), r
+        assert sums[:, r].tobytes() == stacked(one, 1, 640)[:, 0].tobytes(), r
         assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,18 +90,20 @@ def _pin_workers(monkeypatch, workers):
 
 
 def test_records_do_not_depend_on_worker_count(monkeypatch):
-    # each level writes only its own slice, so any schedule gives the same bits
-    _pin_workers(monkeypatch, 1)
-    serial = run_sweep(THREADED)
-    assert np.isnan(serial.records.figures).any()   # missing figures compare too
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
-    try:
-        for workers in (2, 3, 5):   # 5: a thread per level, more than the CPUs of most hosts
-            _pin_workers(monkeypatch, workers)
-            assert_records_equal(run_sweep(THREADED).records, serial.records)
-    finally:
-        sys.setswitchinterval(interval)
+    # each level writes only its own slice, so any schedule gives the same bits; at one
+    # realization each level's one-row stacks go through its thread's window-sum memo
+    for cfg in (THREADED, replace(THREADED, realizations=1)):
+        _pin_workers(monkeypatch, 1)
+        serial = run_sweep(cfg)
+        assert np.isnan(serial.records.figures).any()   # missing figures compare too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
+        try:
+            for workers in (2, 3, 5):   # 5: a thread per level, more than most hosts' CPUs
+                _pin_workers(monkeypatch, workers)
+                assert_records_equal(run_sweep(cfg).records, serial.records)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
