@@ -15,12 +15,11 @@ from .indices import (abs_union_max, coincidence_addition, coincidence_real,
                       jaccard_real, multiset_jaccard, s_minus, s_plus, s_pm,
                       set_jaccard, signed_min_intersection)
 from .kernels import ACTIVE_BACKEND
-from .metrics import (INDEX_NAMES, PerformanceIndices, compute_indices,
-                      overlap_integral)
+from .metrics import INDEX_NAMES, compute_indices
 from .pca import (AnalysisError, FeatureMatrix, PcaModel, group_centroids,
                   group_dispersion, jacobi_eigh, level_matrix, load_feature_matrix,
                   pca_fit, project, read_records)
-from .peaks import PeakMeasurement, detect_peaks, width_at_fraction
+from .peaks import PeakMeasurement, detect_peaks
 from .signal import AlignmentError, DomainError, Multiset, Signal
 from .sweep import (DEFAULT_METHODS, Aggregate, Records, SweepConfig, SweepResult,
                     run_sweep, write_aggregates_csv, write_records_csv)
@@ -32,15 +31,14 @@ __all__ = [
     "CorrelationResult", "DEFAULT_GRID", "DEFAULT_METHODS",
     "DEFAULT_TEMPLATE_AMPLITUDE", "DEFAULT_TEMPLATE_WIDTH", "DomainError",
     "FeatureMatrix", "INDEX_NAMES", "Multiset", "N_NOISE_LEVELS", "NoiseSpec",
-    "ObjectSpec", "PcaModel", "PeakMeasurement", "PerformanceIndices", "Records",
-    "Signal", "SweepConfig", "SweepResult", "TemplateSpec",
+    "ObjectSpec", "PcaModel", "PeakMeasurement", "Records", "Signal", "SweepConfig",
+    "SweepResult", "TemplateSpec",
     "abs_union_max", "add_noise", "canonical_method", "coincidence_addition",
     "coincidence_real", "compute_indices", "detect_peaks", "gen_object",
     "gen_template", "group_centroids", "group_dispersion", "inner_product",
     "interiority_real", "jaccard_addition", "jaccard_real", "jacobi_eigh",
     "level_matrix", "load_feature_matrix", "method_profile", "multiset_jaccard",
-    "noise_rng", "overlap_integral", "pca_fit", "project", "read_records",
-    "run_sweep", "s_minus", "s_plus", "s_pm", "set_jaccard",
-    "signed_min_intersection", "width_at_fraction", "write_aggregates_csv",
-    "write_records_csv",
+    "noise_rng", "pca_fit", "project", "read_records", "run_sweep", "s_minus",
+    "s_plus", "s_pm", "set_jaccard", "signed_min_intersection",
+    "write_aggregates_csv", "write_records_csv",
 ]

@@ -63,6 +63,12 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     flags that take a value.
     """
     parser = build_parser()
+    # argparse reads -10 after a flag as its value but -1e1 or -inf as an option: join them
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        flag, token = argv[i - 1:i + 1]
+        if flag.startswith("--") and "=" not in flag and token[:1] == "-" and _is_float(token):
+            argv[i - 1:i + 1] = [f"{flag}={token}"]
     args = parser.parse_args(argv)
     if args.config:
         keys = {k for k, v in vars(args).items() if not isinstance(v, bool)}
@@ -158,6 +164,12 @@ def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> N
 # ---------------------------------------------------------------------------
 # Subcommands
 
+# correlate and bench stop with a FloatingPointError where a value leaves the float range
+# (the window sums of huge finite inputs) instead of warning and writing inf or nan
+_IN_FLOAT_RANGE = np.errstate(over="raise", divide="raise", invalid="raise")
+
+
+@_IN_FLOAT_RANGE
 def _cmd_correlate(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     obj = _load_object_csv(args.object) if args.object else gen_object(spec)
@@ -197,7 +209,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         try:
             pm = detect_peaks(profile.normalized(), spec)
             summary = f"x1={pm.x1:.6g} h1={pm.h1:.6g} w1={pm.w1:.6g}"
-            if pm.has_secondary:
+            if not np.isnan(pm.x2):
                 summary += f" x2={pm.x2:.6g} h2={pm.h2:.6g} w2={pm.w2:.6g}"
             else:
                 summary += " (no secondary peak)"
@@ -208,6 +220,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_IN_FLOAT_RANGE
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
@@ -335,9 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:  # DomainError is a ValueError
-        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
-        print(f"error: {reason}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError,  # DomainError is a ValueError
+            FloatingPointError) as exc:
+        cause = ("out of memory: " if isinstance(exc, MemoryError) else
+                 "out of float range: " if isinstance(exc, FloatingPointError) else "")
+        print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
 
 

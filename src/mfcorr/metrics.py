@@ -7,14 +7,14 @@ r_ws are width-to-height ratios of the two detected peaks, and the overlap
 integral runs between the two detected positions over the raw profile, so
 negative profile values between the peaks lower it.
 
-stack_figures scores every row of a profile stack at once; compute_indices is
-its form for one detected profile.
+stack_figures scores every row of a profile stack at once: six figures in
+INDEX_NAMES order, nan where one is missing; compute_indices is its one-profile row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple
 
 import numpy as np
 
@@ -24,21 +24,6 @@ from .peaks import PeakMeasurement, stack_peaks
 from .signal import DomainError
 
 INDEX_NAMES = ("r_xp", "r_xs", "r_h", "r_wp", "r_ws", "alpha_overlap")
-
-
-@dataclass(frozen=True)
-class PerformanceIndices:
-    """Six merit figures; secondary-dependent entries are None when undetected."""
-
-    r_xp: float
-    r_wp: float
-    r_xs: float | None = None
-    r_h: float | None = None
-    r_ws: float | None = None
-    alpha_overlap: float | None = None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {name: getattr(self, name) for name in INDEX_NAMES}
 
 
 def _overlaps(lags: np.ndarray, values: np.ndarray, rows, x_a, x_b) -> np.ndarray:
@@ -67,17 +52,13 @@ def stack_figures(lags: np.ndarray, values: np.ndarray, spec: ObjectSpec,
     return out
 
 
-def overlap_integral(profile: CorrelationResult, x_lo: float, x_hi: float) -> float:
-    """Riemann sum of the raw profile over [x_lo, x_hi]; negative values count as negative."""
-    return float(_overlaps(profile.lags, profile.values[None], [0], [x_lo], [x_hi])[0])
-
-
 def compute_indices(pm: PeakMeasurement, spec: ObjectSpec,
-                    profile: CorrelationResult) -> PerformanceIndices:
-    """Merit figures for one detected profile; secondary-based ones flagged missing."""
+                    profile: CorrelationResult) -> np.ndarray:
+    """stack_figures' (6,) row for one profile and its detected peaks, nan where missing.
+
+    Nothing in the package calls it; it stays because perfbench's tracer spans it by name.
+    """
     if pm.h1 <= 0:
         raise DomainError("primary peak height must be positive to compute indices")
-    peaks = [[math.nan if v is None else v] for v in (pm.x1, pm.h1, pm.w1, pm.x2, pm.h2, pm.w2)]
-    figures = stack_figures(profile.lags, profile.values[None], spec, peaks)[0].tolist()
-    return PerformanceIndices(**{name: None if math.isnan(v) else v
-                                 for name, v in zip(INDEX_NAMES, figures)})
+    peaks = [[v] for v in astuple(pm)]
+    return stack_figures(profile.lags, profile.values[None], spec, peaks)[0]

@@ -16,8 +16,8 @@ maximum is <= 0 has no width, so both fail.  The secondary is the highest
 interior local maximum (a strict rise in, no rise out) of positive height
 whose run midpoint lies further than 3*max(sigma_p, sigma_s) from the
 primary's, which keeps the primary's shoulder from registering as a second
-match.  stack_peaks measures every row of a profile stack at once;
-detect_peaks and width_at_fraction are its one-profile (R=1) forms.
+match.  stack_peaks measures every row of a profile stack at once, with nan
+for a peak it does not find; detect_peaks is its one-profile (R=1) form.
 """
 
 from __future__ import annotations
@@ -36,18 +36,14 @@ WIDTH_FRACTION = 0.75
 
 @dataclass(frozen=True)
 class PeakMeasurement:
-    """Primary and (optional) secondary peak geometry: position, height, width."""
+    """Primary and secondary peak geometry: position, height, width (nan: no secondary)."""
 
     x1: float
     h1: float
     w1: float
-    x2: float | None = None
-    h2: float | None = None
-    w2: float | None = None
-
-    @property
-    def has_secondary(self) -> bool:
-        return self.x2 is not None
+    x2: float = math.nan
+    h2: float = math.nan
+    w2: float = math.nan
 
 
 def _widths(lags: np.ndarray, values: np.ndarray, at: np.ndarray,
@@ -123,19 +119,12 @@ def stack_peaks(lags: np.ndarray, values: np.ndarray, object_spec: ObjectSpec) -
     return out
 
 
-def width_at_fraction(lags: np.ndarray, values: np.ndarray, peak: int) -> float:
-    """Extent of the contiguous region around values[peak] > 0 at or above WIDTH_FRACTION of it."""
-    return float(_widths(lags, values[None], np.array([peak]), values[[peak]])[0])
-
-
 def detect_peaks(profile: CorrelationResult, object_spec: ObjectSpec) -> PeakMeasurement:
     """The primary and secondary peak of one profile (module docstring), or DomainError."""
-    x1, h1, w1, x2, h2, w2 = stack_peaks(profile.lags, profile.values[None],
-                                         object_spec)[:, 0].tolist()
-    if h1 <= 0.0:
-        raise DomainError(f"primary peak height {h1:.6g} is not positive")
-    if math.isnan(x1):
+    pm = PeakMeasurement(*stack_peaks(profile.lags, profile.values[None],
+                                      object_spec)[:, 0].tolist())
+    if pm.h1 <= 0.0:
+        raise DomainError(f"primary peak height {pm.h1:.6g} is not positive")
+    if math.isnan(pm.x1):
         raise DomainError("profile is constant; peak detection undefined")
-    if math.isnan(x2):
-        return PeakMeasurement(x1, h1, w1)
-    return PeakMeasurement(x1, h1, w1, x2=x2, h2=h2, w2=w2)
+    return pm

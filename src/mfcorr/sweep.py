@@ -189,17 +189,19 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     order = iter(range(len(cfg.levels)))
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}
+    errstate = np.geterr()   # the helpers handle float errors as the calling thread does
 
     def work() -> None:
-        while True:
-            with lock:
-                v = None if errors else next(order, None)
-            if v is None:
-                return
-            try:
-                _score_level(cfg, clean, template, cfg.levels[v], figures[v])
-            except BaseException as exc:
-                errors[v] = exc
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    v = None if errors else next(order, None)
+                if v is None:
+                    return
+                try:
+                    _score_level(cfg, clean, template, cfg.levels[v], figures[v])
+                except BaseException as exc:
+                    errors[v] = exc
 
     helpers = [threading.Thread(target=work)
                for _ in range(min(_level_threads(), len(cfg.levels)) - 1)]

@@ -209,7 +209,7 @@ def o_width(lags, values, peak: int, fraction: float = 0.75) -> float:
 
 
 def o_detect_peaks(lags, values, exclusion: float):
-    """(x1, h1, w1, x2, h2, w2), the secondary three None when absent.
+    """(x1, h1, w1, x2, h2, w2), the secondary three nan when absent.
 
     None when the profile is constant or its maximum is not positive.
     """
@@ -245,7 +245,7 @@ def o_detect_peaks(lags, values, exclusion: float):
             best = (k, xk)
     primary = (x1, values[i1], o_width(lags, values, i1))
     if best is None:
-        return primary + (None, None, None)
+        return primary + (math.nan,) * 3
     k, xk = best
     return primary + (xk, values[k], o_width(lags, values, k))
 

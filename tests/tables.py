@@ -6,24 +6,23 @@ import math
 
 import numpy as np
 
-from mfcorr import INDEX_NAMES, PerformanceIndices, Records
+from mfcorr import INDEX_NAMES, Records
 
 
-def figures_of(indices: PerformanceIndices | None) -> list[float]:
-    """The six figures in INDEX_NAMES order, nan where missing (all of them for None)."""
-    if indices is None:
-        return [math.nan] * len(INDEX_NAMES)
-    return [math.nan if v is None else v for v in indices.as_dict().values()]
+def figures(**named: float) -> list[float]:
+    """The six figures in INDEX_NAMES order: the named ones, nan for the rest."""
+    assert set(named) <= set(INDEX_NAMES), named
+    return [named.get(name, math.nan) for name in INDEX_NAMES]
 
 
 def records_of(rows) -> Records:
-    """The table of (method, level, realization, PerformanceIndices | None) rows, in order."""
+    """The table of (method, level, realization, six figures) rows, in order."""
     methods = tuple(dict.fromkeys(row[0] for row in rows))
     codes, levels, realizations = (
         np.array(column, dtype=np.int64)
         for column in zip(*((methods.index(m), v, r) for m, v, r, _ in rows)))
-    figures = np.array([figures_of(row[3]) for row in rows], dtype=np.float64)
-    return Records(methods, codes, levels, realizations, figures)
+    return Records(methods, codes, levels, realizations,
+                   np.array([row[3] for row in rows], dtype=np.float64))
 
 
 def assert_records_equal(got: Records, want: Records) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mfcorr import (
+    INDEX_NAMES,
     ObjectSpec,
     Signal,
     SweepConfig,
@@ -38,7 +39,7 @@ from mfcorr import (
 from mfcorr.cli import main
 from mfcorr.indices import (abs_union_max, inner_product, s_minus, s_plus,
                             s_pm, signed_min_intersection)
-from mfcorr.peaks import width_at_fraction
+from mfcorr.peaks import stack_peaks
 
 import oracles as orc
 
@@ -177,10 +178,10 @@ def test_criterion_3_noiseless_ordering():
     for name in ("classic", "jaccard_real", "coincidence"):
         prof = method_profile(name, obj, tpl).normalized()
         pm = detect_peaks(prof, SPEC)
-        idx = compute_indices(pm, SPEC, prof)
+        idx = dict(zip(INDEX_NAMES, compute_indices(pm, SPEC, prof)))
         w1[name] = pm.w1
-        r_h[name] = idx.r_h
-        r_xp[name] = idx.r_xp
+        r_h[name] = idx["r_h"]
+        r_xp[name] = idx["r_xp"]
     assert w1["coincidence"] < w1["jaccard_real"] < w1["classic"], f"w1: {w1}"
     assert r_h["coincidence"] > r_h["jaccard_real"] > r_h["classic"], f"r_h: {r_h}"
     bound = 2.0 * SPEC.dx / SPEC.x_p
@@ -200,7 +201,7 @@ def test_criterion_4_gaussian_width():
     dx, sigma = 0.01, 0.3
     lags = dx * np.arange(640)
     values = np.exp(-((lags - 3.2) ** 2) / (2 * sigma * sigma))
-    got = width_at_fraction(lags, values, int(np.argmax(values)))
+    got = stack_peaks(lags, values[None], SPEC)[2, 0]   # w1 of the one-row stack
     want = 2.0 * sigma * np.sqrt(2.0 * np.log(4.0 / 3.0))
     assert abs(got - want) <= 0.02, f"width {got:.4f} vs analytic {want:.4f}"
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,10 @@
 """Command-line interface: file outputs, determinism, config handling, errors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -297,12 +302,50 @@ def test_config_file_bad_value(tmp_path, capsys):
      "noise multiplier must be finite, got nan"),
     # level 0 adds no noise, but the header would record the multiplier
     (["correlate", "--noise-multiplier", "inf"], "noise multiplier must be finite, got inf"),
+    # a negative value that argparse alone would take for an unknown option
+    (["correlate", "--xp", "-inf"], "x_p must be finite, got -inf"),
+    (["bench", "--grid-start", "-1e400"], "grid start must be finite, got -inf"),
 ])
 @pytest.mark.filterwarnings("error")   # and no numpy warning before the error line
 def test_bad_flag_is_one_error_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_negative_value_in_exponent_form_reads_as_its_decimal_form(tmp_path, capsys):
+    runs = []
+    for start in ("-10", "-1e1", "-1E+1", "-10.0e0"):
+        code, out, err = _run(capsys, "correlate", "--methods", "classic", "--grid-start", start,
+                              "--out-dir", str(tmp_path))
+        runs.append((code, out, err, (tmp_path / "correlate_classic.csv").read_bytes()))
+    assert runs[0][0] == 0 and runs[0][2] == "" and "grid=-10:6.4:640" in runs[0][3].decode()
+    assert runs == [runs[0]] * len(runs)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["plain", "W-error"])
+@pytest.mark.parametrize("argv", [
+    ["correlate"],
+    ["bench", "--levels", "0", "--realizations", "2"],
+    # two levels: with two CPUs a helper thread scores one, under the caller's float checks
+    ["bench", "--levels", "0,1", "--realizations", "2"],
+], ids=["correlate", "bench", "bench-two-levels"])
+def test_window_sums_out_of_float_range_are_one_error_line(tmp_path, argv, warnings):
+    # finite heights whose window sums overflow, in a fresh interpreter as a user runs it,
+    # so the warning filters are the interpreter's own and not pytest's
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "mfcorr.cli", *argv, "--methods", "classic",
+         "--hp", "1e308", "--hs", "1e307", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of float range: overflow encountered in ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []   # no inf or nan profile, no all-nan records
 
 
 def test_help_exits_zero(capsys):

@@ -2,19 +2,22 @@
 
 Whatever the input, a run ends with exit code 0, or with exit code 1 and one
 `error:` line on stderr; it never ends in a traceback.  Figures stay within
-±10, so no numpy overflow warning can stand in for a failure.
+±10, so no numpy overflow warning can stand in for a failure.  Last, every
+float flag reads any value float() reads the same after a space as after `=`.
 """
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcorr import cli
 from mfcorr.cli import main
 from mfcorr.sweep import RECORD_COLUMNS
 
@@ -192,3 +195,55 @@ def test_malformed_object_csv_ends_in_one_error_line(text):
         path = Path(tmp) / "object.csv"
         path.write_bytes(text)
         _assert_one_error_line(*_correlate(Path(tmp), "--object", str(path)))
+
+
+# ---------------------------------------------------------------------------
+# A float flag's value given after a space or after `=`: argparse alone takes
+# -1e1 or -inf after a space for an unknown option.  The subcommand is replaced
+# by one that checks the scene as correlate and bench do and prints the values,
+# so a drawn value such as a template width of 1e300 allocates nothing.
+
+def _float_flags(command: str) -> list[str]:
+    """The subcommand's flags whose value is a float, read from its defaults."""
+    return sorted("--" + dest.replace("_", "-")
+                  for dest, value in vars(cli._parse_args([command])).items()
+                  if isinstance(value, float))
+
+
+FLOAT_FLAGS = {command: _float_flags(command) for command in ("correlate", "bench")}
+
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),                               # nan, -inf, -0.0, 1e-300, ...
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".2e")),
+    st.sampled_from(["-1e1", "-1E+1", "-.5e2", "-inf", "-Infinity", "-nan", "+inf", "-1_0",
+                     "-0", "1e400", "-1e400", " -1e1", "-1e1 "]),
+)
+
+
+def _scene_and_values(args) -> int:
+    cli._object_spec(args)
+    cli.TemplateSpec(args.template_width, args.template_amplitude)
+    cli.NoiseSpec(multiplier=args.noise_multiplier)
+    print(" ".join(f"{name}={value!r}" for name, value in sorted(vars(args).items())
+                   if isinstance(value, float)))
+    return 0
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            patch.object(cli, "_cmd_correlate", _scene_and_values), \
+            patch.object(cli, "_cmd_bench", _scene_and_values):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(FLOAT_FLAGS)), text=FLOAT_TEXT)
+def test_float_flag_value_reads_the_same_after_a_space_as_after_equals(data, command, text):
+    flag = data.draw(st.sampled_from(FLOAT_FLAGS[command]))
+    spaced = _run_main([command, flag, text])
+    assert spaced == _run_main([command, f"{flag}={text}"])
+    _assert_clean_exit(spaced[0], spaced[2])
+    if spaced[0] == 0:   # the flag took the value float() reads
+        assert f"{flag[2:].replace('-', '_')}={float(text)!r}" in spaced[1].split()

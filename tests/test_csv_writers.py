@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcorr import FeatureMatrix, PerformanceIndices, Records, SweepConfig, read_records, sweep
+from mfcorr import FeatureMatrix, Records, SweepConfig, read_records, sweep
 from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
@@ -27,7 +27,7 @@ from mfcorr.pca import write_meta_csv, write_projection_csv
 from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv, write_csv,
                           write_records_csv)
 
-from tables import records_of
+from tables import figures, records_of
 
 CONFIG = SweepConfig(methods=("classic",), levels=(2,), realizations=2, base_seed=5)
 COMMENT = ("# methods=classic levels=2 realizations=2 seed=5 noise_multiplier=1"
@@ -36,9 +36,9 @@ COMMENT = ("# methods=classic levels=2 realizations=2 seed=5 noise_multiplier=1"
 
 
 def _result():
-    full = PerformanceIndices(r_xp=0.125, r_wp=1.0 / 3.0, r_xs=-0.25, r_h=1.5e-05,
-                              r_ws=2.0, alpha_overlap=-0.0123456789123)
-    no_secondary = PerformanceIndices(r_xp=-0.0625, r_wp=0.5)
+    full = figures(r_xp=0.125, r_wp=1.0 / 3.0, r_xs=-0.25, r_h=1.5e-05, r_ws=2.0,
+                   alpha_overlap=-0.0123456789123)
+    no_secondary = figures(r_xp=-0.0625, r_wp=0.5)
     records = records_of([("classic", 2, 0, full),
                           ("classic", 2, 1, no_secondary)])
     return SweepResult(CONFIG, records, aggregate_records(records))

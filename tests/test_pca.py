@@ -13,7 +13,6 @@ import pytest
 from mfcorr import (
     AnalysisError,
     FeatureMatrix,
-    PerformanceIndices,
     Records,
     SweepConfig,
     SweepResult,
@@ -31,7 +30,7 @@ from mfcorr import (
 from mfcorr.metrics import INDEX_NAMES
 
 from oracles import o_eigvals_2x2, o_eigvals_3x3
-from tables import assert_records_equal, figures_of, records_of
+from tables import assert_records_equal, figures, records_of
 
 
 def _labels(n):
@@ -205,14 +204,10 @@ def test_feature_matrix_validation():
 
 def _record(method, level, realization, value, complete=True):
     if value is None:
-        return method, level, realization, None
-    idx = PerformanceIndices(
-        r_xp=value, r_wp=value + 1,
-        r_xs=value + 2 if complete else None,
-        r_h=value + 3 if complete else None,
-        r_ws=value + 4 if complete else None,
-        alpha_overlap=value + 5 if complete else None)
-    return method, level, realization, idx
+        return method, level, realization, figures()
+    secondary = dict(r_xs=value + 2, r_h=value + 3, r_ws=value + 4,
+                     alpha_overlap=value + 5) if complete else {}
+    return method, level, realization, figures(r_xp=value, r_wp=value + 1, **secondary)
 
 
 def test_feature_matrix_from_records_filters_and_counts():
@@ -301,7 +296,7 @@ def test_file_and_in_memory_records_give_the_same_matrix(tmp_path):
         np.append(rec.codes, [rec.methods.index(row[0]) for row in extra]),
         np.append(rec.levels, [row[1] for row in extra]),
         np.append(rec.realizations, [row[2] for row in extra]),
-        np.vstack([rec.figures, [figures_of(row[3]) for row in extra]]))
+        np.vstack([rec.figures, [row[3] for row in extra]]))
     path = tmp_path / "records.csv"
     write_records_csv(result, path)
 

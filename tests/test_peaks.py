@@ -1,6 +1,7 @@
 """Peak detection and 75%-slice width measurement."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import oracles as orc
 from mfcorr import DomainError, ObjectSpec, PeakMeasurement, compute_indices, detect_peaks
 from mfcorr.correlate import CorrelationResult, max_normalized
 from mfcorr.metrics import stack_figures
-from mfcorr.peaks import stack_peaks, width_at_fraction
+from mfcorr.peaks import _widths, stack_peaks
 
 SPEC = ObjectSpec()  # exclusion radius 3*max(0.3, 0.15) = 0.9
 
@@ -20,6 +21,11 @@ def profile(values, dx=1.0, x0=0.0):
     values = np.asarray(values, dtype=float)
     lags = x0 + dx * np.arange(values.size)
     return CorrelationResult(lags=lags, values=values)
+
+
+def width(p, peak):
+    """The 75% width around sample peak of p, as stack_peaks measures it: its one-row stack."""
+    return float(_widths(p.lags, p.values[None], np.array([peak]), p.values[[peak]])[0])
 
 
 def triangle(center, half_width_samples, height, n, dx=1.0):
@@ -32,7 +38,7 @@ def test_triangle_width():
     # height 1, half-width 4 dx: the 75% level crosses at 1 dx on each side
     vals = triangle(center=10.0, half_width_samples=4, height=1.0, n=21)
     p = profile(vals)
-    w = width_at_fraction(p.lags, p.values, 10)
+    w = width(p, 10)
     assert w == pytest.approx(2.0, abs=1e-12)
 
 
@@ -42,7 +48,7 @@ def test_gaussian_width_analytic():
     x = np.arange(0, 6.4, dx)
     vals = np.exp(-((x - 3.2) ** 2) / (2 * sigma * sigma))
     p = profile(vals, dx=dx)
-    w = width_at_fraction(p.lags, p.values, int(np.argmax(vals)))
+    w = width(p, int(np.argmax(vals)))
     want = 2.0 * sigma * np.sqrt(2.0 * np.log(4.0 / 3.0))
     assert w == pytest.approx(want, abs=2 * dx)
 
@@ -51,7 +57,7 @@ def test_width_truncates_at_boundary():
     # plateau runs into the right edge: width stops at the last lag
     vals = np.concatenate([np.linspace(0, 1, 6), np.ones(5)])
     p = profile(vals)
-    w = width_at_fraction(p.lags, p.values, 10)
+    w = width(p, 10)
     # level 0.75 crossed between samples 3 (0.6) and 4 (0.8) on the rise
     left = 3 + (0.75 - 0.6) / 0.2
     assert w == pytest.approx(10.0 - left, abs=1e-12)
@@ -62,7 +68,7 @@ def test_primary_peak_simple():
     pm = detect_peaks(profile(vals, dx=0.1), SPEC)
     assert pm.x1 == pytest.approx(1.0)
     assert pm.h1 == pytest.approx(2.0)
-    assert pm.has_secondary
+    assert not math.isnan(pm.x2)
     assert pm.x2 == pytest.approx(2.5)
     assert pm.h2 == pytest.approx(1.0)
 
@@ -87,7 +93,7 @@ def test_exclusion_radius_suppresses_shoulder():
     vals = triangle(5.0, 8, 2.0, 101, dx=0.1) + triangle(5.5, 2, 0.4, 101, dx=0.1)
     pm = detect_peaks(profile(vals, dx=0.1), SPEC)
     assert pm.x1 == pytest.approx(5.0, abs=0.1)
-    if pm.has_secondary:
+    if not math.isnan(pm.x2):
         assert abs(pm.x2 - pm.x1) > 0.9
 
 
@@ -105,14 +111,13 @@ def test_negative_local_max_not_secondary():
     vals = np.exp(-((x - 2.0) ** 2)) - 0.2 * np.exp(-((x - 7.0) ** 2) / 4)
     pm = detect_peaks(profile(vals, dx=0.1), SPEC)
     assert pm.x1 == pytest.approx(2.0, abs=0.1)
-    assert not pm.has_secondary
+    assert math.isnan(pm.x2)
 
 
 def test_no_secondary_found():
     vals = triangle(5.0, 5, 1.0, 101, dx=0.1)
     pm = detect_peaks(profile(vals, dx=0.1), SPEC)
-    assert not pm.has_secondary
-    assert pm.x2 is None and pm.h2 is None and pm.w2 is None
+    assert math.isnan(pm.x2) and math.isnan(pm.h2) and math.isnan(pm.w2)
 
 
 def test_constant_profile_rejected():
@@ -133,10 +138,11 @@ def test_nonpositive_primary_rejected(values):
 
 
 def test_peak_measurement_flag():
+    # nan marks a missing secondary, as in stack_peaks' rows
     pm = PeakMeasurement(1.0, 2.0, 0.5)
-    assert not pm.has_secondary
+    assert math.isnan(pm.x2) and math.isnan(pm.h2) and math.isnan(pm.w2)
     pm = PeakMeasurement(1.0, 2.0, 0.5, x2=3.0, h2=1.0, w2=0.7)
-    assert pm.has_secondary
+    assert not math.isnan(pm.x2)
 
 
 def test_benchmark_profile_lands_on_grid():
@@ -168,7 +174,7 @@ def test_long_plateau():
     # the plateau spans samples 40..10,041; the 75% level is met at 30 and 10,051
     assert pm.x1 == pytest.approx(0.01 * (40 + 10_041) / 2, abs=1e-9)
     assert pm.w1 == pytest.approx(0.01 * (10_051 - 30), abs=1e-9)
-    assert not pm.has_secondary
+    assert math.isnan(pm.x2)
 
 
 def _check_against_oracle(values, dx, x0):
@@ -268,9 +274,7 @@ def test_stack_rows_match_one_profile_forms(stack, dx, x0):
             assert oracle is None and np.isnan(got[0]) and np.isnan(got[2])
             assert np.isnan(figures[r]).all()
             continue
-        want = [math.nan if v is None else v for v in (pm.x1, pm.h1, pm.w1, pm.x2, pm.h2,
-                                                       pm.w2)]
+        want = astuple(pm)
         _same_bits(got, want)
-        assert [str(v) for v in want] == [str(math.nan if v is None else v) for v in oracle]
-        _same_bits(figures[r], [math.nan if v is None else v
-                                for v in indices.as_dict().values()])
+        assert [str(v) for v in want] == [str(v) for v in oracle]
+        _same_bits(figures[r], indices)

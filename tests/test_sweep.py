@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
-                    PerformanceIndices, SweepConfig, TemplateSpec,
-                    add_noise, canonical_method, compute_indices, detect_peaks,
+                    SweepConfig, TemplateSpec, add_noise, canonical_method, compute_indices, detect_peaks,
                     gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
 from mfcorr import cli, sweep
 from mfcorr.correlate import METHOD_TAGS
 from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
 
-from tables import assert_records_equal, records_of
+from tables import assert_records_equal, figures, records_of
 
 SMALL = SweepConfig(methods=("classic", "coincidence"), levels=(0, 4),
                     realizations=3, base_seed=11)
@@ -71,12 +70,16 @@ def test_sweep_records_equal_per_cell_path(boundary):
             for name in methods:
                 profile = method_profile(name, noisy, template, boundary).normalized()
                 try:
-                    indices = compute_indices(detect_peaks(profile, cfg.object_spec),
-                                              cfg.object_spec, profile)
+                    row = compute_indices(detect_peaks(profile, cfg.object_spec),
+                                          cfg.object_spec, profile)
                 except DomainError:
-                    indices = None
-                want.append((name, level, realization, indices))
-    assert_records_equal(run_sweep(cfg).records, records_of(want))
+                    row = figures()
+                want.append((name, level, realization, row))
+    got, want = run_sweep(cfg).records, records_of(want)
+    assert_records_equal(got, want)
+    # bit for bit: the same nan pattern, and the same bytes where a figure is present
+    present = ~np.isnan(want.figures)
+    assert got.figures[present].tobytes() == want.figures[present].tobytes()
 
 
 # a secondary 0.6 from the primary, inside its exclusion zone: some records lack figures
@@ -199,7 +202,7 @@ def test_level_zero_has_zero_std():
 
 def test_equal_values_have_zero_std():
     # np.std(np.full(50, 0.1), ddof=1) is 2.8e-17: the mean misses 0.1 by an ulp
-    same = PerformanceIndices(r_xp=0.1, r_wp=0.1)
+    same = figures(r_xp=0.1, r_wp=0.1)
     agg = aggregate_records(records_of([("classic", 0, r, same) for r in range(50)]))
     assert agg[("classic", 0)]["r_xp"].std == 0.0
     assert agg[("classic", 0)]["r_xp"].mean == pytest.approx(0.1)
@@ -226,13 +229,12 @@ def test_level_range_checked_before_repeats():
 
 
 def test_exclusion_counting_synthetic():
-    ok = PerformanceIndices(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3,
-                            alpha_overlap=0.4)
-    no_secondary = PerformanceIndices(r_xp=0.2, r_wp=0.4)
+    ok = figures(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3, alpha_overlap=0.4)
+    no_secondary = figures(r_xp=0.2, r_wp=0.4)
     records = records_of([
         ("coincidence", 5, 0, ok),
         ("coincidence", 5, 1, no_secondary),
-        ("coincidence", 5, 2, None),  # total failure
+        ("coincidence", 5, 2, figures()),  # total failure
     ])
     agg = aggregate_records(records)[("coincidence", 5)]
     assert agg["r_xp"].n == 2
@@ -241,7 +243,7 @@ def test_exclusion_counting_synthetic():
     assert agg["r_h"].mean == 2.0
     assert agg["r_h"].std == 0.0
     # an index with no surviving values at all
-    empty = aggregate_records(records_of([("x", 1, 0, None)]))[("x", 1)]
+    empty = aggregate_records(records_of([("x", 1, 0, figures())]))[("x", 1)]
     assert empty["r_xp"].n == 0
     assert math.isnan(empty["r_xp"].mean)
 
@@ -301,7 +303,7 @@ def test_aggregates_csv_structure(tmp_path):
 
 
 def test_missing_secondary_serialized_as_nan(tmp_path):
-    rec = records_of([("classic", 2, 0, PerformanceIndices(r_xp=0.1, r_wp=0.2))])
+    rec = records_of([("classic", 2, 0, figures(r_xp=0.1, r_wp=0.2))])
     from mfcorr.sweep import SweepResult
     res = SweepResult(SMALL, rec, aggregate_records(rec))
     path = tmp_path / "r.csv"
