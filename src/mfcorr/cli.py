@@ -164,12 +164,13 @@ def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> N
 # ---------------------------------------------------------------------------
 # Subcommands
 
-# correlate and bench stop with a FloatingPointError where a value leaves the float range
-# (the window sums of huge finite inputs) instead of warning and writing inf or nan
-_IN_FLOAT_RANGE = np.errstate(over="raise", divide="raise", invalid="raise")
+# correlate, bench and each pca level stop with a FloatingPointError where a value leaves
+# the float range (the window sums of huge finite inputs, the column sums of huge finite
+# figures) instead of warning and writing inf or nan
+_IN_FLOAT_RANGE = dict(over="raise", divide="raise", invalid="raise")
 
 
-@_IN_FLOAT_RANGE
+@np.errstate(**_IN_FLOAT_RANGE)
 def _cmd_correlate(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     obj = _load_object_csv(args.object) if args.object else gen_object(spec)
@@ -220,7 +221,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-@_IN_FLOAT_RANGE
+@np.errstate(**_IN_FLOAT_RANGE)
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
@@ -254,12 +255,15 @@ def _cmd_pca(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                matrix = pca_mod.level_matrix(records, level, methods)
-                model = pca_mod.pca_fit(matrix)
-                scores = pca_mod.project(matrix, model)
-                dispersions = pca_mod.group_dispersion(matrix.labels, scores)
+                with np.errstate(**_IN_FLOAT_RANGE):
+                    matrix = pca_mod.level_matrix(records, level, methods)
+                    model = pca_mod.pca_fit(matrix)
+                    scores = pca_mod.project(matrix, model)
+                    dispersions = pca_mod.group_dispersion(matrix.labels, scores)
             except pca_mod.AnalysisError as exc:
                 raise CliError(f"level {level}: {exc}") from exc
+            except FloatingPointError as exc:
+                raise CliError(f"level {level}: out of float range: {exc}") from exc
         for warning in caught:
             print(f"warning: level {level}: {warning.message} ({records_name})",
                   file=sys.stderr)

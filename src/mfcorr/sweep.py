@@ -2,22 +2,26 @@
 
 Within one (level, realization) cell every method sees the identical noisy
 object, so cross-method comparisons are paired.  A noise level is the batch:
-its realizations are stacked and profiled together, with one kernel call for
-the plain methods and the combined methods' first stage and one for their
-second stage, and each method's stack of profiles is normalized, searched for
-peaks and scored in one block (metrics.stack_figures).  Cells stay independent
-in their results: a record equals what method_profile, normalized,
-detect_peaks and compute_indices give for that cell alone, so the whole sweep
-is a pure function of its configuration.
+its realizations are stacked and profiled CHUNK_ROWS at a time, with one kernel
+call per chunk for the plain methods and the combined methods' first stage and
+one for their second stage, and each method's stack of profiles is normalized,
+searched for peaks and scored in one block (metrics.stack_figures).  A
+noiseless level (level 0, or any level at noise multiplier 0) scores one row
+and copies its figures to the rest.  Cells stay independent in their results:
+a record equals what method_profile, normalized, detect_peaks and
+compute_indices give for that cell alone, so the whole sweep is a pure
+function of its configuration.
 
-The levels run on up to two threads, one per usable CPU, as numpy releases the
-GIL inside its array loops; each level in flight adds its transients to the
-peak memory, so no more are used (MAX_LEVEL_THREADS).  The schedule cannot
-change a byte: each level reads only the shared clean object and template,
-draws its noise from streams fixed by (seed, level, realization), and writes
-only its own slice of the figures.  The threads take the levels in order and
-start none after one fails, so the caller gets the error of the lowest level
-that failed, as from a serial loop.
+The levels run on up to two threads, one per usable CPU (MAX_LEVEL_THREADS),
+but only when a level holds a full chunk: numpy releases the GIL inside its
+array loops alone, and below CHUNK_ROWS rows those loops are too short for a
+second thread to pay, while its level's transients still add to the peak
+memory.  Each level in flight holds one chunk's transients at any realization
+count.  The schedule cannot change a byte: each level reads only the shared
+clean object and template, draws its noise from streams fixed by (seed, level,
+realization), and writes only its own slice of the figures.  The threads take
+the levels in order and start none after one fails, so the caller gets the
+error of the lowest level that failed, as from a serial loop.
 """
 
 from __future__ import annotations
@@ -146,12 +150,17 @@ def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggre
             for code, level in cells}
 
 
-# Each level in flight adds its transients to the peak RSS: about 2.7 MB at 50
-# realizations, 16 MB at 300 (tracemalloc peak of one level).  A third raised a
-# desk-scale bench-and-pca run from 42.6 to 45.4 MB (40.9 MB with one thread and
-# before the in-place index formulas), and what it gains beyond 2 CPUs is not
-# measured.
+# Each level in flight adds one chunk's transients to the peak RSS, and what a third
+# thread gains beyond 2 CPUs is not measured.
 MAX_LEVEL_THREADS = 2
+
+# Realizations per profiles call, and the fewest in a level that starts level threads:
+# the smallest stack at which two level threads beat one.  run_sweep over levels 1-8
+# with one chunk per level, 2 CPUs against `taskset -c 0` (Python 3.11, numpy 2.4),
+# median of 3 warm sweeps, 8 alternations: at 100 rows 0.28-0.35 s against
+# 0.39-0.46 s in 7, even (0.438 against 0.435 s) in 1, for +4.4 MB max RSS; at 125
+# and 150 rows 1.2-1.6x in all 8; at 50 rows (the desk scale) 0.95-1.15x for +2.2 MB.
+CHUNK_ROWS = 100
 
 
 def _level_threads() -> int:
@@ -165,19 +174,30 @@ def _level_threads() -> int:
 
 def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
                  block: np.ndarray) -> None:
-    """Fill block[r, i] with the figures of realization r under cfg.methods[i] at level."""
-    noisy = np.stack([
-        add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
-        for r in range(cfg.realizations)])
-    for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
-                                       cfg.methods, cfg.boundary):
-        block[:, cfg.methods.index(name)] = stack_figures(
-            lags, max_normalized(values, out=values), cfg.object_spec)
-        del values   # let this profile go before the next one is built
+    """Fill block[r, i] with the figures of realization r under cfg.methods[i] at level.
+
+    The realizations go through profiles CHUNK_ROWS at a time.  A noiseless level's
+    rows all equal the clean object (it has no -0.0 that adding 0.0 would flip), and
+    a stack's rows score as one-row stacks do, so it scores realization 0 alone and
+    copies its figures to every row.
+    """
+    noiseless = NoiseSpec(level, multiplier=cfg.noise_multiplier).amplitude == 0
+    rows = 1 if noiseless else cfg.realizations
+    for start in range(0, rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, rows)
+        noisy = np.stack([
+            add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
+            for r in range(start, stop)])
+        for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
+                                           cfg.methods, cfg.boundary):
+            block[start:stop, cfg.methods.index(name)] = stack_figures(
+                lags, max_normalized(values, out=values), cfg.object_spec)
+            del values   # let this profile go before the next one is built
+    block[rows:] = block[0]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute the full noise sweep described by cfg, its levels spread over _level_threads()."""
+    """Execute the noise sweep described by cfg, on _level_threads() if a level fills a chunk."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
     shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
@@ -203,8 +223,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 except BaseException as exc:
                     errors[v] = exc
 
+    threads = _level_threads() if cfg.realizations >= CHUNK_ROWS else 1
     helpers = [threading.Thread(target=work)
-               for _ in range(min(_level_threads(), len(cfg.levels)) - 1)]
+               for _ in range(min(threads, len(cfg.levels)) - 1)]
     for thread in helpers:
         thread.start()
     try:

@@ -10,7 +10,7 @@ import pytest
 
 from mfcorr import ObjectSpec, cli, gen_object
 from mfcorr.cli import CliError, _parse_levels, _parse_methods, main
-from mfcorr.sweep import RECORD_COLUMNS
+from mfcorr.sweep import CHUNK_ROWS, RECORD_COLUMNS
 
 from golden.make_digests import SMALL_RECORDS
 
@@ -326,22 +326,28 @@ def test_negative_value_in_exponent_form_reads_as_its_decimal_form(tmp_path, cap
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _run_fresh(warnings, *argv):
+    """mfcorr in a fresh interpreter as a user runs it, so the warning filters are the
+    interpreter's own and not pytest's."""
+    return subprocess.run(
+        [sys.executable, *warnings, "-m", "mfcorr.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+
+
 @pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["plain", "W-error"])
 @pytest.mark.parametrize("argv", [
     ["correlate"],
     ["bench", "--levels", "0", "--realizations", "2"],
-    # two levels: with two CPUs a helper thread scores one, under the caller's float checks
-    ["bench", "--levels", "0,1", "--realizations", "2"],
+    # two levels of a full chunk: with two CPUs a helper thread scores one, under the
+    # caller's float checks
+    ["bench", "--levels", "0,1", "--realizations", str(CHUNK_ROWS)],
 ], ids=["correlate", "bench", "bench-two-levels"])
 def test_window_sums_out_of_float_range_are_one_error_line(tmp_path, argv, warnings):
-    # finite heights whose window sums overflow, in a fresh interpreter as a user runs it,
-    # so the warning filters are the interpreter's own and not pytest's
-    proc = subprocess.run(
-        [sys.executable, *warnings, "-m", "mfcorr.cli", *argv, "--methods", "classic",
-         "--hp", "1e308", "--hs", "1e307", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+    # finite heights whose window sums overflow
+    proc = _run_fresh(warnings, *argv, "--methods", "classic", "--hp", "1e308", "--hs", "1e307",
+                      "--out-dir", str(tmp_path))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: out of float range: overflow encountered in ")
     assert proc.stderr.count("\n") == 1, proc.stderr
@@ -540,6 +546,24 @@ def _write_records(path, levels, seed, r_xp=None):
                 lines.append(f"{method},{level},{r},"
                              + ",".join(format(v, ".9g") for v in figures) + ",1,1")
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["plain", "W-error"])
+def test_pca_figures_out_of_float_range_are_one_error_line(tmp_path, warnings):
+    # 15 rows of finite figures at level 1 whose column sums overflow
+    rng = np.random.default_rng(1)
+    records = tmp_path / "records.csv"
+    records.write_text("\n".join([",".join(RECORD_COLUMNS)] + [
+        f"{method},1,{r}," + ",".join(format(v, ".9g") for v in 1e308 * rng.uniform(-1, 1, 6))
+        + ",1,1" for r in range(5) for method in ("classic", "jaccard_real", "coincidence")])
+        + "\n")
+    out_dir = tmp_path / "out"
+    proc = _run_fresh(warnings, "pca", "--records", str(records), "--levels", "1",
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: level 1: out of float range: overflow encountered in ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert list(out_dir.iterdir()) == []
 
 
 def test_pca_warnings_name_level_and_records_file(tmp_path, capsys):

@@ -54,32 +54,51 @@ def test_sweep_determinism():
     assert_records_equal(a.records, b.records)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_sweep_records_equal_per_cell_path(boundary):
-    # the sweep profiles a whole level at once; each record must still be the
-    # one a single cell gives on its own
-    methods = METHOD_TAGS + ("combined_coincidence", "combined_jaccard_addition")
-    cfg = SweepConfig(methods=methods, levels=(0, 10, 20), realizations=3,
-                      base_seed=5, boundary=boundary)
+def _per_cell_records(cfg):
+    """The records of cfg, each cell scored on its own through the one-object path."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, clean.dx)
     want = []
     for level in cfg.levels:
         for realization in range(cfg.realizations):
-            noisy = add_noise(clean, NoiseSpec(level, cfg.base_seed, realization))
-            for name in methods:
-                profile = method_profile(name, noisy, template, boundary).normalized()
+            noisy = add_noise(clean, NoiseSpec(level, cfg.base_seed, realization,
+                                               cfg.noise_multiplier))
+            for name in cfg.methods:
+                profile = method_profile(name, noisy, template, cfg.boundary).normalized()
                 try:
                     row = compute_indices(detect_peaks(profile, cfg.object_spec),
                                           cfg.object_spec, profile)
                 except DomainError:
                     row = figures()
                 want.append((name, level, realization, row))
-    got, want = run_sweep(cfg).records, records_of(want)
+    return records_of(want)
+
+
+def _assert_equal_per_cell_path(cfg):
+    got, want = run_sweep(cfg).records, _per_cell_records(cfg)
     assert_records_equal(got, want)
     # bit for bit: the same nan pattern, and the same bytes where a figure is present
     present = ~np.isnan(want.figures)
     assert got.figures[present].tobytes() == want.figures[present].tobytes()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_sweep_records_equal_per_cell_path(boundary):
+    # the sweep profiles a whole level at once; each record must still be the
+    # one a single cell gives on its own
+    methods = METHOD_TAGS + ("combined_coincidence", "combined_jaccard_addition")
+    _assert_equal_per_cell_path(SweepConfig(methods=methods, levels=(0, 10, 20),
+                                            realizations=3, base_seed=5, boundary=boundary))
+
+
+@pytest.mark.parametrize("multiplier, levels", [(1.0, (0, 1)), (0.0, (0, 1, 20))])
+def test_noiseless_level_equals_per_cell_path(multiplier, levels):
+    # a noiseless level scores one row and copies its figures to every realization;
+    # at multiplier 0 every level is noiseless, and level 1 above is not
+    methods = ("classic", "jaccard_addition", "combined_coincidence")
+    _assert_equal_per_cell_path(SweepConfig(
+        methods=methods, object_spec=ObjectSpec(x_s=3.9), levels=levels, realizations=4,
+        base_seed=5, noise_multiplier=multiplier))
 
 
 # a secondary 0.6 from the primary, inside its exclusion zone: some records lack figures
@@ -88,30 +107,73 @@ THREADED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincid
                        realizations=4, base_seed=2)
 
 
-def _pin_workers(monkeypatch, workers):
+def _pin_workers(monkeypatch, workers, chunk_rows):
+    """Run workers level threads on levels of at least chunk_rows realizations."""
     monkeypatch.setattr(sweep, "_level_threads", lambda: workers)
+    monkeypatch.setattr(sweep, "CHUNK_ROWS", chunk_rows)
+
+
+_SCORE_LEVEL = sweep._score_level
+
+
+def _count_helper_levels(monkeypatch, threaded=True):
+    """Record the levels that helper threads score, in a list filled as they run.
+
+    If threaded, the calling thread waits (5 s at most) until a helper takes a level.
+    """
+    helper_levels = []
+    helper_started = threading.Event()
+
+    def score(cfg, clean, template, level, block):
+        if threading.current_thread() is not threading.main_thread():
+            helper_levels.append(level)
+            helper_started.set()
+        elif threaded:
+            helper_started.wait(5)
+        _SCORE_LEVEL(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score)
+    return helper_levels
 
 
 def test_records_do_not_depend_on_worker_count(monkeypatch):
     # each level writes only its own slice, so any schedule gives the same bits; at one
     # realization each level's one-row stacks go through its thread's window-sum memo
     for cfg in (THREADED, replace(THREADED, realizations=1)):
-        _pin_workers(monkeypatch, 1)
+        _pin_workers(monkeypatch, 1, cfg.realizations)
+        monkeypatch.setattr(sweep, "_score_level", _SCORE_LEVEL)
         serial = run_sweep(cfg)
         assert np.isnan(serial.records.figures).any()   # missing figures compare too
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
         try:
             for workers in (2, 3, 5):   # 5: a thread per level, more than most hosts' CPUs
-                _pin_workers(monkeypatch, workers)
+                _pin_workers(monkeypatch, workers, cfg.realizations)
+                helper_levels = _count_helper_levels(monkeypatch)
                 assert_records_equal(run_sweep(cfg).records, serial.records)
+                assert helper_levels
         finally:
             sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("realizations", [2, 3, 4, 7])
+def test_records_do_not_depend_on_chunk_edges(monkeypatch, realizations):
+    # chunks of 3 realizations, the last one partial or full, under any worker count
+    # give the records of one stack per level on one thread; a level of fewer than 3
+    # realizations starts no helper
+    cfg = replace(THREADED, realizations=realizations)
+    _pin_workers(monkeypatch, 1, realizations)
+    whole = run_sweep(cfg)
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers, 3)
+        threaded = workers > 1 and realizations >= 3
+        helper_levels = _count_helper_levels(monkeypatch, threaded)
+        assert_records_equal(run_sweep(cfg).records, whole.records)
+        assert bool(helper_levels) == threaded
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_without_levels_is_empty(monkeypatch, workers):
-    _pin_workers(monkeypatch, workers)
+    _pin_workers(monkeypatch, workers, 2)
     result = run_sweep(SweepConfig(methods=("classic",), levels=(), realizations=2))
     assert len(result.records) == 0 and result.records.figures.shape == (0, len(INDEX_NAMES))
     assert result.aggregates == {}
@@ -132,7 +194,7 @@ def _fail_off_main_thread(error):
 
 @pytest.mark.parametrize("error", [DomainError("injected"), MemoryError("injected")])
 def test_worker_error_reaches_caller(monkeypatch, error):
-    _pin_workers(monkeypatch, 2)
+    _pin_workers(monkeypatch, 2, 2)
     monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
     with pytest.raises(type(error), match="injected"):
         run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3), realizations=2))
@@ -140,11 +202,13 @@ def test_worker_error_reaches_caller(monkeypatch, error):
 
 def test_lowest_failing_level_gives_the_error(monkeypatch):
     # level 3 fails at once, level 1 only after it: the caller still gets level 1's error
-    _pin_workers(monkeypatch, 3)
+    _pin_workers(monkeypatch, 3, 2)
     level_3_failed = threading.Event()
     score_level = sweep._score_level
+    scored_on = set()
 
     def score_or_fail(cfg, clean, template, level, block):
+        scored_on.add(threading.current_thread())
         if level == 3:
             level_3_failed.set()
             raise MemoryError("level 3")
@@ -156,13 +220,14 @@ def test_lowest_failing_level_gives_the_error(monkeypatch):
     with pytest.raises(DomainError, match="level 1"):
         run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3, 4), realizations=2))
     assert level_3_failed.is_set()
+    assert scored_on - {threading.main_thread()}   # a helper thread scored a level
 
 
 @pytest.mark.parametrize("error, message", [(DomainError("injected"), "error: injected\n"),
                                             (MemoryError("injected"),
                                              "error: out of memory: injected\n")])
 def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error, message):
-    _pin_workers(monkeypatch, 2)
+    _pin_workers(monkeypatch, 2, 2)
     monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
     code = cli.main(["bench", "--methods", "classic", "--levels", "0-3",
                      "--realizations", "2", "--out-dir", str(tmp_path)])
@@ -177,8 +242,9 @@ def test_worker_count_falls_back_to_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sweep._level_threads() == workers
+    monkeypatch.setattr(sweep, "CHUNK_ROWS", THREADED.realizations)
     result = run_sweep(THREADED)
-    _pin_workers(monkeypatch, 1)
+    _pin_workers(monkeypatch, 1, THREADED.realizations)
     assert_records_equal(result.records, run_sweep(THREADED).records)
 
 
