@@ -11,9 +11,9 @@ import numpy as np
 
 from . import pca as pca_mod
 from .correlate import BOUNDARIES, CorrelationResult, canonical_method, profiles
-from .generators import (DEFAULT_GRID, DEFAULT_TEMPLATE_AMPLITUDE,
-                         DEFAULT_TEMPLATE_WIDTH, N_NOISE_LEVELS, NoiseSpec,
-                         ObjectSpec, TemplateSpec, add_noise, gen_object, gen_template)
+from .generators import (DEFAULT_TEMPLATE_AMPLITUDE, DEFAULT_TEMPLATE_WIDTH, N_NOISE_LEVELS,
+                         NoiseSpec, ObjectSpec, TemplateSpec, add_noise, gen_object,
+                         gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
 from .sweep import (DEFAULT_METHODS, SweepConfig, require_distinct, run_header, run_sweep,
@@ -225,11 +225,10 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
-    realizations = 50 if args.desk_scale else args.realizations
     cfg = SweepConfig(methods=_parse_methods(args.methods), object_spec=spec,
                       template_spec=TemplateSpec(args.template_width,
                                                  args.template_amplitude),
-                      levels=levels, realizations=realizations,
+                      levels=levels, realizations=args.realizations,
                       base_seed=args.seed,
                       noise_multiplier=args.noise_multiplier,
                       boundary=args.boundary)
@@ -283,18 +282,17 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 # Parser
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    scene = ObjectSpec()
     g = parser.add_argument_group("object and template")
-    g.add_argument("--hp", type=float, default=2.0, help="primary peak height")
-    g.add_argument("--hs", type=float, default=1.0, help="secondary peak height")
-    g.add_argument("--sigma-p", dest="sigma_p", type=float, default=0.3)
-    g.add_argument("--sigma-s", dest="sigma_s", type=float, default=0.15)
-    g.add_argument("--xp", type=float, default=4.5, help="primary peak position")
-    g.add_argument("--xs", type=float, default=1.8, help="secondary peak position")
-    g.add_argument("--grid-start", dest="grid_start", type=float,
-                   default=DEFAULT_GRID[0])
-    g.add_argument("--grid-end", dest="grid_end", type=float,
-                   default=DEFAULT_GRID[1])
-    g.add_argument("--grid-n", dest="grid_n", type=int, default=DEFAULT_GRID[2])
+    g.add_argument("--hp", type=float, default=scene.h_p, help="primary peak height")
+    g.add_argument("--hs", type=float, default=scene.h_s, help="secondary peak height")
+    g.add_argument("--sigma-p", dest="sigma_p", type=float, default=scene.sigma_p)
+    g.add_argument("--sigma-s", dest="sigma_s", type=float, default=scene.sigma_s)
+    g.add_argument("--xp", type=float, default=scene.x_p, help="primary peak position")
+    g.add_argument("--xs", type=float, default=scene.x_s, help="secondary peak position")
+    g.add_argument("--grid-start", dest="grid_start", type=float, default=scene.grid[0])
+    g.add_argument("--grid-end", dest="grid_end", type=float, default=scene.grid[1])
+    g.add_argument("--grid-n", dest="grid_n", type=int, default=scene.grid[2])
     g.add_argument("--template-width", dest="template_width", type=float,
                    default=DEFAULT_TEMPLATE_WIDTH)
     g.add_argument("--template-amplitude", dest="template_amplitude", type=float,
@@ -331,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_bench.add_argument("--levels", default="0-20",
                          help="comma list with ranges, e.g. 0,5,10-20")
-    p_bench.add_argument("--realizations", type=int, default=300)
-    p_bench.add_argument("--desk-scale", dest="desk_scale", action="store_true",
-                         help="preset: 50 realizations for quick runs")
+    scale = p_bench.add_mutually_exclusive_group()
+    scale.add_argument("--realizations", type=int, default=300)
+    scale.add_argument("--desk-scale", dest="realizations", action="store_const", const=50,
+                       help="preset: 50 realizations for quick runs")
     p_bench.add_argument("--out-dir", dest="out_dir", default=".")
     p_bench.set_defaults(func=_cmd_bench, subparser=p_bench)
 

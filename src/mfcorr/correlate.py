@@ -19,9 +19,10 @@ Every profile comes from profiles(), for R stacked objects at once;
 method_profile is its one-object form.
 
 The paper's framework runs several methods on one object, so each thread keeps
-its last one-row object's window sums: a later name adds only the sums it lacks
-(_window_sums), and one that lacks only the template's sums (AGW, SGW) makes no
-kernel call.  The combined names' stage 2 and the sweep's stacks bypass it.
+its last one-row object's window sums: the first name adds the loop-less sums
+(kernels.LOOPLESS) beside its own, so a later name adds only the loop sums it
+lacks (_window_sums), or none.  The combined names' stage 2 and the sweep's
+stacks bypass it.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     canonical_method and is yielded in canonical form.  One kernel call serves
     the plain names and the combined ones' first stage (classic), a second
     their second stage; plain names come first.  Each call adds only the window
-    sums its formulas read; for one row, only those that the thread's earlier
-    calls on the same row have not kept (_window_sums).
+    sums its formulas read; for one row, the loop-less ones up front, and then
+    only those that the thread's earlier calls on the same row have not kept
+    (_window_sums).
     """
     names = [canonical_method(n) for n in names]
     yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, True)
@@ -132,11 +134,11 @@ def _profiles(samples, x0, dx, template, names, boundary, keep):
     sums = _window_sums(samples, template.samples, k0, n_lags, need, keep)
     for name in names:
         if not name.startswith(COMBINED_PREFIX):
-            yield name, lags, profile_values(name, *sums, dx)
+            yield name, lags, profile_values(name, sums, dx)
     if inner:
         # stage 2 slides the template over each row's max-normalized classic
         # profile; that object is this call's alone, so its sums are not kept
-        stage1 = profile_values("classic", *sums, dx)
+        stage1 = profile_values("classic", sums, dx)
         del sums
         stage1 = max_normalized(stage1, out=stage1)
         for tag, lags2, values in _profiles(stage1, float(lags[0]), dx, template, inner,
@@ -144,18 +146,10 @@ def _profiles(samples, x0, dx, template, names, boundary, keep):
             yield inner[tag], lags2, values
 
 
-@dataclass
-class _Entry:
-    key: tuple
-    sums: dict            # kernels.sliding_sums' {index: (1, n_lags) or (n_lags,)}
-    totals: list
-
-
 class _Memo(threading.local):
-    """This thread's kept window sums: those of its last one-row object."""
+    """This thread's kept window sums: those of its last one-row object, and its key."""
 
-    def __init__(self):
-        self.entry = None
+    key = sums = None
 
 
 _MEMO = _Memo()
@@ -164,30 +158,25 @@ _MEMO = _Memo()
 def _window_sums(samples, g, k0, n_lags, need, keep):
     """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept for one row if keep.
 
-    The entry is keyed by content (samples' dtype and bytes, g's bytes, k0,
-    n_lags), so an object changed in place is a miss.  A hit adds only the
-    sums the entry lacks: each sum is added in template order whatever else is
-    asked, so a grown entry holds a full call's sums bit for bit.  AGW and SGW
-    read the template and the lag geometry alone, so a hit that lacks only
-    those takes them from kernels.template_sums, with no kernel call.  A miss
-    drops the entry before the kernel runs.  Stacks of more rows (the sweep's)
-    pass straight through.
+    The kept sums are keyed by content (samples' dtype and bytes, g's bytes, k0,
+    n_lags), so an object changed in place is a miss.  A miss drops the old
+    sums before the kernel runs and asks for need | kernels.LOOPLESS, the sums
+    that cost no pass over the template, so a hit lacks only loop sums (SM,
+    UM, DOT) and adds just those: each sum is added in template order whatever
+    else is asked, so grown sums hold a full call's sums bit for bit.
+    Stacks of more rows (the sweep's) pass straight through.
     """
     if not keep or samples.shape[0] != 1:
         return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
     key = (samples.dtype.str, samples.tobytes(), g.tobytes(), k0, n_lags)
-    entry = _MEMO.entry
-    if entry is None or entry.key != key:
-        entry = _MEMO.entry = None   # so the old sums are freed before the kernel runs
-        sums, *totals = kernels.sliding_sums(samples, g, k0, n_lags, need=need)
-        entry = _MEMO.entry = _Entry(key, sums, totals)
-    elif missing := need.difference(entry.sums):
-        if missing <= kernels.TEMPLATE_SUMS:
-            entry.sums.update(kernels.template_sums(g, samples.shape[1], k0, n_lags,
-                                                    need=missing))
-        else:
-            entry.sums.update(kernels.sliding_sums(samples, g, k0, n_lags, need=missing)[0])
-    return entry.sums, *entry.totals
+    memo = _MEMO
+    if memo.key != key:
+        memo.key = memo.sums = None   # so the old sums are freed before the kernel runs
+        memo.sums = kernels.sliding_sums(samples, g, k0, n_lags, need=need | kernels.LOOPLESS)
+        memo.key = key
+    elif missing := need.difference(memo.sums):
+        memo.sums.update(kernels.sliding_sums(samples, g, k0, n_lags, need=missing))
+    return memo.sums
 
 
 def method_profile(name: str, obj: Signal, template: Signal,

@@ -7,13 +7,15 @@ Each formula reads only the sums that SUMS_READ names for its tag:
 
     tag                          sums read
     classic                      DOT
-    jaccard_real, coincidence    SM, UM, AGW
-    interiority                  UM, AGW
-    jaccard_addition             SM, SGW
-    coincidence_addition         SM, UM, AGW, SGW
+    jaccard_real, coincidence    SM, UM, AGW, AF
+    interiority                  UM, AGW, AF
+    jaccard_addition             SM, SGW, SF
+    coincidence_addition         SM, UM, AGW, SGW, AF, SF
 
-The magnitude union needs no sum of its own: as max(|f|, |g|) = |f| + |g| -
-min(|f|, |g|), its integral over the full grid is dx * ((sum|f| + AGW) - UM).
+AF and SF are the object's totals sum|f| and sum f, (R,) beside the (R, n_lags)
+window sums.  The magnitude union needs no sum of its own: as max(|f|, |g|) =
+|f| + |g| - min(|f|, |g|), its integral over the full grid is
+dx * ((AF + AGW) - UM).
 A denominator whose magnitude is below EPS_DENOM yields 0 instead of a
 quotient.  Every functional is symmetric in its two arguments and pure.
 """
@@ -22,14 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import AGW, DOT, SGW, SM, UM, aligned_sums
+from .kernels import AF, AGW, DOT, SF, SGW, SM, UM, aligned_sums
 from .signal import DomainError, Multiset, Signal, require_aligned, require_same_size
 
 EPS_DENOM = 1e-12
 
-SUMS_READ = {"classic": {DOT}, "jaccard_real": {SM, UM, AGW}, "interiority": {UM, AGW},
-             "coincidence": {SM, UM, AGW}, "jaccard_addition": {SM, SGW},
-             "coincidence_addition": {SM, UM, AGW, SGW}}
+SUMS_READ = {"classic": {DOT}, "jaccard_real": {SM, UM, AGW, AF}, "interiority": {UM, AGW, AF},
+             "coincidence": {SM, UM, AGW, AF}, "jaccard_addition": {SM, SGW, SF},
+             "coincidence_addition": {SM, UM, AGW, SGW, AF, SF}}
 
 
 def set_jaccard(a: Multiset, b: Multiset) -> float:
@@ -66,8 +68,8 @@ def signed_min_intersection(f: Signal, g: Signal) -> float:
 def abs_union_max(f: Signal, g: Signal) -> float:
     """Integral of the pointwise maximum of the two magnitudes."""
     require_aligned(f, g)
-    sums, abs_total, _ = aligned_sums(f.samples, g.samples, need={UM, AGW})
-    return float(f.dx * ((abs_total[0] + sums[AGW][0, 0]) - sums[UM][0, 0]))
+    sums = aligned_sums(f.samples, g.samples, need={UM, AGW, AF})
+    return float(f.dx * ((sums[AF][0] + sums[AGW][0, 0]) - sums[UM][0, 0]))
 
 
 def s_plus(f: Signal, g: Signal) -> float:
@@ -85,7 +87,7 @@ def s_minus(f: Signal, g: Signal) -> float:
 def _integrals(f: Signal, g: Signal) -> dict:
     """dx times kernels.aligned_sums' SM and UM for an aligned pair."""
     require_aligned(f, g)
-    sums = aligned_sums(f.samples, g.samples, need={SM, UM})[0]
+    sums = aligned_sums(f.samples, g.samples, need={SM, UM})
     return {s: f.dx * v[0, 0] for s, v in sums.items()}
 
 
@@ -109,28 +111,25 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray, signed_den: bool = False) -
     return num
 
 
-def profile_values(tag: str, sums: dict, abs_total: np.ndarray,
-                   sum_total: np.ndarray, dx: float) -> np.ndarray:
+def profile_values(tag: str, sums: dict, dx: float) -> np.ndarray:
     """Index values (R, n_lags) from kernels.sliding_sums output, a row per object."""
     if tag == "classic":
         return dx * sums[DOT]
-
-    abs_total = abs_total[:, None]
     if tag == "interiority":
-        return _interiority_values(sums, abs_total, dx)
+        return _interiority_values(sums, dx)
 
     # each formula works in place on its own few (R, n_lags) buffers; every
     # operation keeps the operands and order of the written-out formula
     sm = dx * sums[SM]
     if tag in ("jaccard_real", "coincidence"):
-        # dx * ((abs_total + AGW) - UM): this grouping keeps the union exactly
+        # dx * ((AF + AGW) - UM): this grouping keeps the union exactly
         # symmetric in the two signals
-        den = abs_total + sums[AGW]
+        den = sums[AF][:, None] + sums[AGW]
         den -= sums[UM]
         den *= dx
         jac = _guarded_ratio(sm, den)
     elif tag in ("jaccard_addition", "coincidence_addition"):
-        den = sum_total[:, None] + sums[SGW]
+        den = sums[SF][:, None] + sums[SGW]
         den *= dx
         sm *= 2.0
         jac = _guarded_ratio(sm, den, signed_den=True)
@@ -138,13 +137,13 @@ def profile_values(tag: str, sums: dict, abs_total: np.ndarray,
         raise DomainError(f"unknown method tag {tag!r}")
     del den   # freed before the interiority's own buffers
     if tag.startswith("coincidence"):
-        jac *= _interiority_values(sums, abs_total, dx)
+        jac *= _interiority_values(sums, dx)
     return jac
 
 
-def _interiority_values(sums: dict, abs_total: np.ndarray, dx: float) -> np.ndarray:
+def _interiority_values(sums: dict, dx: float) -> np.ndarray:
     num = dx * sums[UM]
-    den = np.minimum(abs_total, sums[AGW])
+    den = np.minimum(sums[AF][:, None], sums[AGW])
     den *= dx
     ratio = _guarded_ratio(num, den)
     # np.clip(ratio, 0.0, 1.0) bit for bit, ties, signed zeros and NaN included,
@@ -155,7 +154,7 @@ def _interiority_values(sums: dict, abs_total: np.ndarray, dx: float) -> np.ndar
 def _full_overlap(tag: str, f: Signal, g: Signal) -> float:
     require_aligned(f, g)
     sums = aligned_sums(f.samples, g.samples, need=SUMS_READ[tag])
-    return float(profile_values(tag, *sums, f.dx)[0, 0])
+    return float(profile_values(tag, sums, f.dx)[0, 0])
 
 
 def jaccard_real(f: Signal, g: Signal) -> float:

@@ -2,13 +2,16 @@
 
 For each lag the engine needs up to five window sums over the overlap between
 the object and the shifted template (the template is zero outside its support
-and ignored off the object grid):
+and ignored off the object grid), and up to two object totals over the whole
+grid:
 
     index 0  SM   sum of sign(f)*sign(g)*min(|f|, |g|)
     index 1  UM   sum of min(|f|, |g|)
     index 2  AGW  sum of |g| over the overlap window
     index 3  SGW  sum of g over the overlap window
     index 4  DOT  sum of f*g
+    index 5  AF   sum of |f|
+    index 6  SF   sum of f
 
 Each formula reads a few of them (indices.SUMS_READ), so a call adds and
 returns only the sums in its `need` set, as {index: sums}.  There is no window
@@ -16,16 +19,17 @@ matrix: sliding_sums loops over the template samples and adds each one's
 terms, for R stacked objects and every lag at once, lag-major: over an (n, R)
 copy of the objects, into one (n_lags, R) accumulator per sum, so a template
 step's window, scratch and accumulators are each one contiguous block.  After
-the loop each of SM, UM and DOT is transposed once into its (R, n_lags) sums,
-beside the objects' (R,) totals of |f| and f; memory is O(R * (n + n_lags)).
-SM and UM share one clip.  AGW and SGW read the template and the lag geometry
-(g, n, k0, n_lags) alone, never the object, so they come from template_sums as
-one (n_lags,) row that every object shares, and the loop runs only for SM, UM
-or DOT: the lags that hold the whole template share one value, and only the at
-most 2m edge lags get their own.  Each sum is added in template order starting
-from 0.0, whatever else is asked, so its bits do not depend on `need` or on
-where it is added.  aligned_sums reduces the sums in `need` over an aligned
-pair, for the whole-signal functionals, in that form as one row and one lag.
+the loop each of SM, UM and DOT is transposed once into its (R, n_lags) sums;
+memory is O(R * (n + n_lags)).  SM and UM share one clip.  The other four are
+LOOPLESS: AF and SF are each object's (R,) total, and AGW and SGW read the
+template and the lag geometry (g, n, k0, n_lags) alone, never the object, so
+they come from template_sums as one (n_lags,) row that every object shares:
+the lags that hold the whole template share one value, and only the at most
+2m edge lags get their own.  The loop runs only for SM, UM or DOT.  Each sum
+is added in template order starting from 0.0, whatever else is asked, so its
+bits do not depend on `need` or on where it is added.  aligned_sums reduces
+the sums in `need` over an aligned pair, for the whole-signal functionals, in
+that form as one row and one lag.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ import numpy as np
 
 ACTIVE_BACKEND = "numpy"
 
-SM, UM, AGW, SGW, DOT = range(5)
-ALL_SUMS = frozenset(range(5))
-TEMPLATE_SUMS = frozenset({AGW, SGW})
+SM, UM, AGW, SGW, DOT, AF, SF = range(7)
+ALL_SUMS = frozenset(range(7))
+LOOPLESS = frozenset({AGW, SGW, AF, SF})   # the sums that need no pass over the template
 
 
-def template_sums(g: np.ndarray, n: int, k0: int, n_lags: int, *, need=TEMPLATE_SUMS):
+def template_sums(g: np.ndarray, n: int, k0: int, n_lags: int, *, need):
     """{AGW: row, SGW: row}, those in need, of sliding_sums(f, g, k0, n_lags) for any f of n.
 
     Each lag adds its on-grid template samples in template order into 0.0, as a
@@ -80,29 +84,28 @@ def template_sums(g: np.ndarray, n: int, k0: int, n_lags: int, *, need=TEMPLATE_
 def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL_SUMS):
     """Window sums for lags k0 .. k0+n_lags-1 of a stack (R, n) against g; (n,) is R=1.
 
-    Returns {index: sums} for the indices in need, and each object's full-grid
-    sums of |f| and f, (R,) each.  SM, UM and DOT are (R, n_lags), a stack's
-    rows exactly one-row calls' sums; AGW and SGW are template_sums' one
-    (n_lags,) row, the same for every object.
+    Returns {index: sums} for the indices in need.  SM, UM and DOT are
+    (R, n_lags), a stack's rows exactly one-row calls' sums; AGW and SGW are
+    template_sums' one (n_lags,) row, the same for every object; AF and SF are
+    each object's full-grid sum of |f| and f, (R,).
     """
     # C order, so each row's totals add in a one-row call's order (numpy sums
     # pairwise only along the inner axis)
     rows = np.ascontiguousarray(np.atleast_2d(f))
     # first, so that the |f| temporary is gone before the buffers below exist
-    totals = np.sum(np.abs(rows), axis=1), np.sum(rows, axis=1)
-    sums = template_sums(g, rows.shape[1], k0, n_lags, need=need)
-    for s, lag_major in _object_sums(rows, g, k0, n_lags, need).items():
-        sums[s] = np.ascontiguousarray(lag_major.T)   # a view at R = 1
-    return sums, *totals
+    sums = {s: np.sum(np.abs(rows) if s == AF else rows, axis=1) for s in (AF, SF) if s in need}
+    sums.update(template_sums(g, rows.shape[1], k0, n_lags, need=need))
+    if not LOOPLESS.issuperset(need):
+        for s, lag_major in _object_sums(rows, g, k0, n_lags, need).items():
+            sums[s] = np.ascontiguousarray(lag_major.T)   # a view at R = 1
+    return sums
 
 
 def _object_sums(rows, g, k0, n_lags, need):
-    """{SM, UM, DOT: (n_lags, R)}, those in need, of the (R, n) rows; the only
-    pass over the objects, made only if one of them is needed."""
+    """{SM, UM, DOT: (n_lags, R)}, those in need, of the (R, n) rows: the
+    template loop, the one pass over the objects' windows."""
     n_rows, n = rows.shape
     acc = {s: np.zeros((n_lags, n_rows)) for s in (SM, UM, DOT) if s in need}
-    if not acc:
-        return acc
     sm, um, dot = (acc.get(s) for s in (SM, UM, DOT))
     cols = np.ascontiguousarray(rows.T)   # a view at R = 1
     scratch = np.empty((n_lags, n_rows))
@@ -130,7 +133,9 @@ def _object_sums(rows, g, k0, n_lags, need):
 def aligned_sums(f: np.ndarray, g: np.ndarray, *, need=ALL_SUMS):
     """sliding_sums' result for f against g on one grid: one row, one lag (the full overlap)."""
     ga = np.abs(g)
-    terms = {AGW: ga, SGW: g}
+    terms = {AGW: ga, SGW: g, SF: f}
+    if AF in need:
+        terms[AF] = np.abs(f)
     if SM in need or UM in need:
         # np.clip(f, -ga, ga) bit for bit, ties and NaN included, without its wrapper
         terms[SM] = np.sign(g) * np.minimum(ga, np.maximum(-ga, f))
@@ -138,5 +143,4 @@ def aligned_sums(f: np.ndarray, g: np.ndarray, *, need=ALL_SUMS):
             terms[UM] = np.abs(terms[SM])
     if DOT in need:
         terms[DOT] = f * g
-    sums = {s: np.add.reduce(terms[s]).reshape(1, 1) for s in need}
-    return sums, *(np.add.reduce(t, keepdims=True) for t in (np.abs(f), f))
+    return {s: np.add.reduce(terms[s]).reshape((1,) if s in (AF, SF) else (1, 1)) for s in need}

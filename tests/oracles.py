@@ -148,13 +148,26 @@ def _shifted_template(n: int, tpl, start: int) -> list[float]:
 def o_lag_geometry(n: int, m: int, boundary: str) -> tuple[int, int, float]:
     c = (m - 1) / 2.0
     if boundary == "valid":
+        if m > n:
+            raise ValueError(f"template ({m}) longer than object ({n}) under valid boundary")
         return 0, n - m + 1, c
     return -((m - 1) // 2), n, c
 
 
 def o_profile(obj, x0: float, dx: float, tpl, tag: str,
               boundary: str = "pad", eps: float = EPS):
-    """(lags, values) for one method, brute force at every lag."""
+    """(lags, values) for one method, brute force at every lag.
+
+    A combined_ tag runs two stages: the classic profile, divided by its
+    largest magnitude unless that is below eps, is the object that the
+    template slides over under the inner tag, from the first classic lag on.
+    """
+    if tag.startswith("combined_"):
+        lags, values = o_profile(obj, x0, dx, tpl, "classic", boundary, eps)
+        peak = max(abs(v) for v in values)
+        if peak >= eps:
+            values = [v / peak for v in values]
+        return o_profile(values, lags[0], dx, tpl, tag[len("combined_"):], boundary, eps)
     n = len(obj)
     m = len(tpl)
     k0, n_lags, c = o_lag_geometry(n, m, boundary)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfcorr import ObjectSpec, cli, gen_object
+from mfcorr import NoiseSpec, ObjectSpec, SweepConfig, TemplateSpec, cli, gen_object
 from mfcorr.cli import CliError, _parse_levels, _parse_methods, main
 from mfcorr.sweep import CHUNK_ROWS, RECORD_COLUMNS
 
@@ -220,6 +220,45 @@ def test_bench_desk_scale_sets_realizations(tmp_path, capsys):
     assert code == 0
     header = (tmp_path / "records.csv").read_text().splitlines()[0]
     assert "realizations=50" in header
+
+
+@pytest.mark.parametrize("argv", [("--realizations", "3", "--desk-scale"),
+                                  ("--desk-scale", "--realizations", "3")])
+def test_bench_desk_scale_with_realizations_is_one_error_line(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, "bench", "--levels", "0", *argv,
+                          "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --") and err.count("\n") == 1
+    assert "not allowed with argument --" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_desk_scale_beats_config_realizations(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("realizations = 7\n")
+    for flags, realizations in (((), 7), (("--desk-scale",), 50)):
+        code, _, _ = _run(capsys, "bench", "--levels", "0", "--methods", "classic",
+                          "--config", str(cfg), *flags, "--out-dir", str(tmp_path))
+        assert code == 0
+        header = (tmp_path / "records.csv").read_text().splitlines()[0]
+        assert f" realizations={realizations} " in header, flags
+
+
+@pytest.mark.parametrize("command", ["correlate", "bench"])
+def test_shared_flag_defaults_are_the_library_defaults(command):
+    args = cli._parse_args([command])
+    noise, sweep = NoiseSpec(), SweepConfig()
+    assert cli._object_spec(args) == ObjectSpec() == sweep.object_spec
+    assert TemplateSpec(args.template_width, args.template_amplitude) == sweep.template_spec
+    assert args.seed == noise.seed == sweep.base_seed
+    assert args.noise_multiplier == noise.multiplier == sweep.noise_multiplier
+    assert args.boundary == sweep.boundary
+    assert _parse_methods(args.methods) == sweep.methods
+    if command == "bench":
+        assert args.realizations == sweep.realizations == 300
+        assert _parse_levels(args.levels) == sweep.levels == tuple(range(21))
+    else:
+        assert (args.noise_level, args.realization) == (noise.level, noise.realization)
 
 
 def test_bench_bad_levels(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sliding correlation engine: worked cases, invariants, oracle equivalence, the memo."""
 
+import re
 import sys
 import threading
 import types
@@ -170,7 +171,9 @@ def test_normalized_profile():
 
 @pytest.mark.parametrize("boundary", ["pad", "valid"])
 def test_oracle_equivalence_profiles(boundary):
+    # all 11 names, the combined ones against the oracle's own two stages
     rng = np.random.default_rng(21)
+    unfit = []
     for trial in range(6):
         n = int(rng.integers(16, 129))
         m = int(rng.integers(2, 25))
@@ -181,14 +184,22 @@ def test_oracle_equivalence_profiles(boundary):
         fv[rng.uniform(size=n) < 0.2] = 0.0
         obj = Signal(fv, dx=dx, x0=x0)
         tpl = Signal(gv, dx=dx)
-        for tag in ALL_TAGS:
-            r = method_profile(tag, obj, tpl, boundary)
-            lags, vals = orc.o_profile(fv, x0, dx, gv, tag, boundary)
+        for name in ALL_NAMES:
+            try:
+                lags, vals = orc.o_profile(fv, x0, dx, gv, name, boundary)
+            except ValueError as exc:   # a valid-boundary stage 2 shorter than the template
+                unfit.append(name)
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    method_profile(name, obj, tpl, boundary)
+                continue
+            r = method_profile(name, obj, tpl, boundary)
             scale = max(1.0, float(np.abs(vals).max()) if len(vals) else 1.0)
             np.testing.assert_allclose(r.lags, lags, atol=1e-12)
             np.testing.assert_allclose(r.values, vals, rtol=0,
                                        atol=1e-12 * scale,
-                                       err_msg=f"{tag}/{boundary}/{trial}")
+                                       err_msg=f"{name}/{boundary}/{trial}")
+    # two valid draws (n = 16 against m = 13 and 9) leave stage 2 too short
+    assert len(unfit) == (10 if boundary == "valid" else 0)
 
 
 def test_combined_noiseless_localization():
@@ -346,7 +357,7 @@ def test_memo_misses_on_samples_changed_in_place():
 def test_memo_is_per_thread(kernel_calls):
     # more threads than cores, switching often, each on its own object: each
     # gets its own results, and its memo is its own, so over 5 passes each sum
-    # that reads its object (SM, UM, DOT) is added once (a shared memo would
+    # of the template loop (SM, UM, DOT) is added once (a shared memo would
     # miss often)
     rng = np.random.default_rng(34)
     tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
@@ -377,8 +388,8 @@ def test_memo_is_per_thread(kernel_calls):
     for worker, obj in zip(workers, objects):
         added = [s for thread, f, need in kernel_calls
                  if thread == worker.ident and f == obj.samples.tobytes() for s in need]
-        object_sums = [s for s in added if s not in kernels.TEMPLATE_SUMS]
-        assert sorted(object_sums) == [kernels.SM, kernels.UM, kernels.DOT]
+        loop_sums = [s for s in added if s not in kernels.LOOPLESS]
+        assert sorted(loop_sums) == [kernels.SM, kernels.UM, kernels.DOT]
 
 
 @pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 3), (ALL_NAMES, 7)])
@@ -386,7 +397,8 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     # one call per method would make 8 kernel calls for the long-signal names
     # and 16 for all 11 (each combined name also calls for its stage 1); stage
     # 2 is not kept, so each combined name still makes that call of its own.
-    # A name that lacks only SGW (jaccard_addition) makes none.
+    # The first call adds the loop-less sums too, so a name that lacks only
+    # those (jaccard_addition: SGW, SF) makes none.
     rng = np.random.default_rng(35)
     obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
@@ -395,17 +407,18 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     asked = set()
     for name in names:
         method_profile(name, obj, tpl)
-        # the kept entry holds just the sums asked for on the object so far
+        # the kept entry holds the loop-less sums and the loop sums asked for so far
         asked |= SUMS_READ["classic" if name.startswith("combined_") else name]
-        assert correlate._MEMO.entry.sums.keys() == asked, name
+        assert correlate._MEMO.sums.keys() == asked | kernels.LOOPLESS, name
     assert len(kernel_calls) <= most, kernel_calls
-    # on the object no sum is added twice, each sum that reads it is added, and
-    # no kernel call is made for AGW or SGW alone (they read the template alone)
+    # on the object no sum is added twice and each sum of the template loop is
+    # added; every kernel call asks for SM, UM or DOT, so none is made for the
+    # loop-less sums alone
     mine = [need for _, f, need in kernel_calls if f == obj.samples.tobytes()]
     added = sorted(s for need in mine for s in need)
     assert added == sorted(set(added))
     assert {kernels.SM, kernels.UM, kernels.DOT} <= set(added)
-    assert not any(need <= kernels.TEMPLATE_SUMS for need in mine)
+    assert all(need - kernels.LOOPLESS for _, _, need in kernel_calls)
     assert len(kernel_calls) - len(mine) == sum(n.startswith("combined_") for n in names)
 
 

@@ -15,7 +15,7 @@ from mfcorr import (AlignmentError, DomainError, Multiset, Signal,
                     jaccard_real, multiset_jaccard, s_minus, s_plus, s_pm,
                     set_jaccard, signed_min_intersection)
 from mfcorr.indices import EPS_DENOM, profile_values
-from mfcorr.kernels import AGW, UM
+from mfcorr.kernels import AF, AGW, UM
 
 
 def sig(*values, dx=1.0, x0=0.0):
@@ -106,7 +106,7 @@ def test_interiority_clip_equals_np_clip_bit_for_bit(shape):
         num, den = dx * sums[UM], dx * np.minimum(abs_total[:, None], sums[AGW])
         with np.errstate(all="ignore"):
             want = np.clip(np.where(den >= EPS_DENOM, num / den, 0.0), 0.0, 1.0)
-        got = profile_values("interiority", sums, abs_total, abs_total, dx)
+        got = profile_values("interiority", {**sums, AF: abs_total}, dx)
         assert got.tobytes() == want.tobytes()
 
 

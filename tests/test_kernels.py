@@ -1,6 +1,6 @@
 """Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks,
-only the sums asked for, and the template-only sums (AGW, SGW) against a loop over the
-template."""
+only the sums asked for (no template loop for the loop-less ones), and the template-only
+sums (AGW, SGW) against a loop over the template."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles as orc
+from mfcorr import kernels
 from mfcorr.correlate import METHOD_TAGS
 from mfcorr.generators import ObjectSpec, TemplateSpec, gen_template
 from mfcorr.indices import SUMS_READ, profile_values
-from mfcorr.kernels import AGW, ALL_SUMS, DOT, SGW, SM, TEMPLATE_SUMS, UM, sliding_sums
+from mfcorr.kernels import AF, AGW, ALL_SUMS, DOT, LOOPLESS, SF, SGW, SM, UM, sliding_sums
+
+WINDOW_SUMS = (SM, UM, AGW, SGW, DOT)   # one per lag; the totals AF and SF one per object
 
 
 def naive_sums(f, g, k0, n_lags):
     """Per-lag window sums by explicit loops over the full object grid, as one row of stacked()."""
     n, m = f.size, g.size
-    out = np.zeros((len(ALL_SUMS), 1, n_lags))
+    out = np.zeros((len(WINDOW_SUMS), 1, n_lags))
     for k in range(n_lags):
         gm = orc._shifted_template(n, g, k0 + k)
         sm = um = agw = sgw = dot = 0.0
@@ -39,13 +42,19 @@ def naive_sums(f, g, k0, n_lags):
 
 
 def stacked(sums, n_rows, n_lags):
-    """An all-sums call's {index: sums} as one (5, R, n_lags) block, each shape checked:
+    """An all-sums call's window sums as one (5, R, n_lags) block, each shape checked:
     (R, n_lags) for SM, UM and DOT, one (n_lags,) row that every object shares for AGW
-    and SGW."""
+    and SGW, and (R,) for the totals AF and SF."""
     assert sums.keys() == ALL_SUMS
+    shapes = {AGW: (n_lags,), SGW: (n_lags,), AF: (n_rows,), SF: (n_rows,)}
     for s, values in sums.items():
-        assert values.shape == ((n_lags,) if s in TEMPLATE_SUMS else (n_rows, n_lags)), s
-    return np.stack([np.broadcast_to(sums[s], (n_rows, n_lags)) for s in sorted(sums)])
+        assert values.shape == shapes.get(s, (n_rows, n_lags)), s
+    return np.stack([np.broadcast_to(sums[s], (n_rows, n_lags)) for s in WINDOW_SUMS])
+
+
+def same_totals(sums, r, one):
+    """Row r's totals of a stack's call equal those of a one-row call, bit for bit."""
+    return all(sums[s][r:r + 1].tobytes() == one[s].tobytes() for s in (AF, SF))
 
 
 @pytest.mark.parametrize("n,m,k0", [
@@ -63,30 +72,30 @@ def test_window_sums_match_naive(n, m, k0):
     f[rng.uniform(size=n) < 0.25] = 0.0
     n_lags = n if k0 < 0 else n - min(m, n) + 1
     want = naive_sums(f, g, k0, n_lags)
-    sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
+    sums = sliding_sums(f, g, k0, n_lags)
     # every sum gets the naive loop's terms in template order, so equal to the bit
     np.testing.assert_array_equal(stacked(sums, 1, n_lags), want)
-    assert abs_total[0] == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
-    assert sum_total[0] == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
+    assert sums[AF][0] == pytest.approx(np.sum(np.abs(f)), rel=1e-13)
+    assert sums[SF][0] == pytest.approx(np.sum(f), rel=1e-13, abs=1e-13)
 
 
 def test_offgrid_template_samples_ignored():
     # lag places half the template before x0: those samples must not count
     f = np.ones(6)
     g = np.ones(4)
-    sums, abs_total, _ = sliding_sums(f, g, -2, 1)
+    sums = sliding_sums(f, g, -2, 1)
     assert sums[AGW][0] == 2.0   # only 2 of 4 template samples on-grid
     assert sums[SGW][0] == 2.0
     assert sums[UM][0, 0] == 2.0
     assert sums[DOT][0, 0] == 2.0
     assert sums[SM][0, 0] == 2.0
-    assert abs_total[0] == 6.0
+    assert sums[AF][0] == 6.0
 
 
 def test_zero_lag_window_equals_head():
     f = np.arange(1.0, 9.0)
     g = np.array([2.0, 2.0, 2.0])
-    sums, _, _ = sliding_sums(f, g, 0, 6)
+    sums = sliding_sums(f, g, 0, 6)
     # window at lag k covers f[k:k+3]
     for k in range(6):
         assert sums[DOT][0, k] == pytest.approx(2.0 * np.sum(f[k:k + 3]))
@@ -95,13 +104,42 @@ def test_zero_lag_window_equals_head():
 def test_only_needed_sums_returned():
     rng = np.random.default_rng(4)
     f, g = rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 5)
-    full, abs_total, sum_total = sliding_sums(f, g, -2, 20)
-    for need in ({DOT}, {SM, SGW}, {UM, AGW, DOT}):
-        sums, *totals = sliding_sums(f, g, -2, 20, need=need)
+    full = sliding_sums(f, g, -2, 20)
+    for need in ({DOT}, {SM, SGW}, {UM, AGW, DOT}, {AF}, {SF, AGW}, {SM, AF, SF}):
+        sums = sliding_sums(f, g, -2, 20, need=need)
         assert sums.keys() == need
         for s in need:
             assert sums[s].tobytes() == full[s].tobytes(), s
-        assert [t.tobytes() for t in totals] == [abs_total.tobytes(), sum_total.tobytes()]
+
+
+def test_totals_computed_only_when_needed(monkeypatch):
+    # the totals are the kernel's only np.sum calls, one (R, n) reduction each
+    rng = np.random.default_rng(6)
+    f, g = rng.uniform(-3, 3, (3, 20)), rng.uniform(-3, 3, 5)
+    shapes, np_sum = [], np.sum
+    monkeypatch.setattr(np, "sum", lambda a, **kw: shapes.append(np.shape(a)) or np_sum(a, **kw))
+    for need, totals in (({DOT}, 0), ({SM, UM, AGW, SGW, DOT}, 0), ({AF}, 1), (ALL_SUMS, 2)):
+        shapes.clear()
+        sums = sliding_sums(f, g, -2, 20, need=need)
+        assert shapes == [(3, 20)] * totals, need
+        assert sums.keys() == need
+
+
+def test_loopless_sums_make_no_template_step(monkeypatch):
+    # AGW, SGW, AF and SF come without the template loop (kernels._object_sums);
+    # a call that adds SM, UM or DOT runs it once
+    rng = np.random.default_rng(7)
+    f, g = rng.uniform(-3, 3, (2, 20)), rng.uniform(-3, 3, 5)
+    full = sliding_sums(f, g, -2, 20)
+    loops, loop = [], kernels._object_sums
+    monkeypatch.setattr(kernels, "_object_sums", lambda *args: loops.append(args) or loop(*args))
+    for need in ({AGW}, {SF}, {AF, SGW}, LOOPLESS):
+        sums = sliding_sums(f, g, -2, 20, need=need)
+        assert {s: v.tobytes() for s, v in sums.items()} == {s: full[s].tobytes() for s in need}
+    assert loops == []
+    for need in ({DOT}, {UM} | LOOPLESS):
+        sliding_sums(f, g, -2, 20, need=need)
+    assert len(loops) == 2
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
@@ -110,8 +148,8 @@ def test_formulas_read_only_their_sums(tag):
     rng = np.random.default_rng(5)
     f, g = rng.uniform(-3, 3, (2, 30)), rng.uniform(-3, 3, 7)
     f[:, ::4] = 0.0
-    want = profile_values(tag, *sliding_sums(f, g, -3, 30), 0.1)
-    got = profile_values(tag, *sliding_sums(f, g, -3, 30, need=SUMS_READ[tag]), 0.1)
+    want = profile_values(tag, sliding_sums(f, g, -3, 30), 0.1)
+    got = profile_values(tag, sliding_sums(f, g, -3, 30, need=SUMS_READ[tag]), 0.1)
     assert got.tobytes() == want.tobytes()
 
 
@@ -133,15 +171,16 @@ def test_long_signal_with_offset_matches_naive(offset):
     g = 2.0 * np.sin(np.pi * np.arange(121) / 120)
     n, m, dx = f.size, g.size, 0.01
     k0 = -((m - 1) // 2)
-    sums, abs_total, sum_total = sliding_sums(f, g, k0, n)
+    sums = sliding_sums(f, g, k0, n)
     lags = sorted({0, 1, 59, 60, n - 61, n - 60, n - 1, *rng.integers(0, n, 8).tolist()})
     want = np.concatenate([naive_sums(f, g, k0 + k, 1) for k in lags], axis=2)
     np.testing.assert_allclose(stacked(sums, 1, n)[:, :, lags], want, rtol=1e-14, atol=0)
-    sums = {s: values[..., lags] for s, values in sums.items()}
-    want_totals = np.array([orc.o_abs_area(f, 1.0)]), np.array([float(sum(f.tolist()))])
+    sums = {s: values if s in (AF, SF) else values[..., lags] for s, values in sums.items()}
+    want = {**dict(zip(WINDOW_SUMS, want)), AF: np.array([orc.o_abs_area(f, 1.0)]),
+            SF: np.array([float(sum(f.tolist()))])}
     for tag in METHOD_TAGS:
-        got = profile_values(tag, sums, abs_total, sum_total, dx)
-        ref = profile_values(tag, want, *want_totals, dx)
+        got = profile_values(tag, sums, dx)
+        ref = profile_values(tag, want, dx)
         scale = max(1.0, float(np.max(np.abs(ref))))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale, err_msg=tag)
 
@@ -178,13 +217,13 @@ def stacked_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_stack_rows_equal_single_calls(case):
     f, g, k0, n_lags = case
-    sums, abs_total, sum_total = sliding_sums(f, g, k0, n_lags)
-    sums = stacked(sums, f.shape[0], n_lags)
+    sums = sliding_sums(f, g, k0, n_lags)
+    block = stacked(sums, f.shape[0], n_lags)
     for r, row in enumerate(f):
-        one, one_abs, one_sum = sliding_sums(row, g, k0, n_lags)
-        assert sums[:, r].tobytes() == stacked(one, 1, n_lags)[:, 0].tobytes()
-        assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
-        np.testing.assert_array_equal(sums[:, r], naive_sums(row, g, k0, n_lags)[:, 0])
+        one = sliding_sums(row, g, k0, n_lags)
+        assert block[:, r].tobytes() == stacked(one, 1, n_lags)[:, 0].tobytes()
+        assert same_totals(sums, r, one)
+        np.testing.assert_array_equal(block[:, r], naive_sums(row, g, k0, n_lags)[:, 0])
 
 
 def template_loop_sums(g, n, k0, n_lags):
@@ -217,15 +256,16 @@ def template_sum_cases(draw):
 def test_template_sums_match_template_loop(case):
     f, g, k0, n_lags = case
     agw, sgw = template_loop_sums(g, f.shape[1], k0, n_lags)
-    sums, *totals = sliding_sums(f, g, k0, n_lags, need={AGW, SGW})
-    assert sums.keys() == {AGW, SGW}
+    sums = sliding_sums(f, g, k0, n_lags, need=LOOPLESS)
+    assert sums.keys() == LOOPLESS
     # one row that every object of the stack shares
     assert sums[AGW].tobytes() == agw.tobytes()
     assert sums[SGW].tobytes() == sgw.tobytes()
+    assert sums[AF].shape == sums[SF].shape == (f.shape[0],)
     for r, row in enumerate(f):
-        one, *one_totals = sliding_sums(row, g, k0, n_lags, need={AGW, SGW})
+        one = sliding_sums(row, g, k0, n_lags, need=LOOPLESS)
         assert [one[s].tobytes() for s in (AGW, SGW)] == [agw.tobytes(), sgw.tobytes()]
-        assert [t[r] for t in totals] == [t[0] for t in one_totals]
+        assert same_totals(sums, r, one)
 
 
 def test_paper_scale_stack_rows_equal_single_calls():
@@ -236,9 +276,9 @@ def test_paper_scale_stack_rows_equal_single_calls():
     f = rng.uniform(-1.0, 3.0, (300, 640))
     f[rng.uniform(size=f.shape) < 0.05] = 0.0
     k0 = -((template.size - 1) // 2)
-    sums, abs_total, sum_total = sliding_sums(f, template, k0, 640)
-    sums = stacked(sums, 300, 640)
+    sums = sliding_sums(f, template, k0, 640)
+    block = stacked(sums, 300, 640)
     for r, row in enumerate(f):
-        one, one_abs, one_sum = sliding_sums(row, template, k0, 640)
-        assert sums[:, r].tobytes() == stacked(one, 1, 640)[:, 0].tobytes(), r
-        assert abs_total[r] == one_abs[0] and sum_total[r] == one_sum[0]
+        one = sliding_sums(row, template, k0, 640)
+        assert block[:, r].tobytes() == stacked(one, 1, 640)[:, 0].tobytes(), r
+        assert same_totals(sums, r, one), r
