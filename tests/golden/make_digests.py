@@ -1,8 +1,10 @@
 """Golden sha256 digests of the CLI's outputs, so a change can show its bytes did not move.
 
-The runs are a desk-scale `mfcorr bench` at seeds 0 and 7 (records.csv and
-aggregates.csv), `mfcorr pca --levels 0-20` on each of those records files
-(every projection and meta file), and three `mfcorr correlate` runs over all
+The runs are a desk-scale `mfcorr bench` at seeds 0 and 7 and two sweeps over
+all 11 method names at levels 0-20 × 3 realizations, one with template
+amplitude 0.05 and one with 100 (records.csv and aggregates.csv), `mfcorr pca
+--levels 0-20` on each of those records files (every projection and meta
+file), and three `mfcorr correlate` runs over all
 11 method names (one profile file each): `--normalize --noise-level 12 --seed
 4` under each boundary, and a 9-sample template on an 8-sample grid, where no
 lag holds the whole template.
@@ -48,6 +50,12 @@ RUNS = {
     # a 9-sample template on an 8-sample object: no lag holds the whole template
     "correlate-short-grid": ["correlate", "--grid-n", "8", "--template-width", "6.0",
                              "--methods", ",".join(ALL_METHODS)],
+    # every object sample exceeds every template sample: clipped at each template step
+    "bench-amp0.05": ["bench", "--levels", "0-20", "--realizations", "3",
+                      "--template-amplitude", "0.05", "--methods", ",".join(ALL_METHODS)],
+    # no stage-1 object sample reaches a template sample's magnitude: never clipped
+    "bench-amp100": ["bench", "--levels", "0-20", "--realizations", "3",
+                     "--template-amplitude", "100", "--methods", ",".join(ALL_METHODS)],
 }
 # run on the records.csv of each bench run, keyed pca-seed<n>
 PCA_ARGV = ["pca", "--levels", "0-20"]
