@@ -60,7 +60,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     The file is read after a first parse and its values become the subcommand's
     defaults for a second one, so a flag given on the command line always wins,
     even when it repeats the built-in default.  Its keys are the subcommand's
-    flags that take a value.
+    flags that take a value, and each value must be one its flag would take,
+    whether or not the command line gives that flag too.
     """
     parser = build_parser()
     # argparse reads -10 after a flag as its value but -1e1 or -inf as an option: join them
@@ -73,12 +74,32 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     if args.config:
         keys = {k for k, v in vars(args).items() if not isinstance(v, bool)}
         keys -= {"command", "config", "func", "subparser"}
-        args.subparser.set_defaults(**_parse_config_file(args.config, keys))
-        try:
-            args = parser.parse_args(argv)
-        except CliError as exc:  # the command line parsed once, so the file is at fault
-            raise CliError(f"config file {args.config}: {exc}") from None
+        values = _parse_config_file(args.config, keys)
+        _check_config_values(args.subparser, args.config, values)
+        args.subparser.set_defaults(**values)
+        args = parser.parse_args(argv)
     return args
+
+
+def _check_config_values(subparser: argparse.ArgumentParser, path: str,
+                         values: dict[str, str]) -> None:
+    """Refuse a config value that its flag would refuse on the command line.
+
+    argparse converts a string default only for a flag the command line left out,
+    and checks no default against the flag's choices, so every value is parsed here
+    by a parser of the file's flags alone, each with its flag's type and choices.
+    """
+    checker, tokens = _Parser(add_help=False), []
+    for action in subparser._actions:
+        if action.dest in values and action.nargs is None:   # not a store_const alias
+            flag = action.option_strings[0]
+            checker.add_argument(flag, dest=action.dest, type=action.type,
+                                 choices=action.choices)
+            tokens.append(f"{flag}={values[action.dest]}")
+    try:
+        checker.parse_args(tokens)
+    except CliError as exc:
+        raise CliError(f"config file {path}: {exc}") from None
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:

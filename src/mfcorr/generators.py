@@ -131,13 +131,29 @@ def gen_template(spec: TemplateSpec, dx: float) -> Signal:
 
 def noise_rng(noise: NoiseSpec) -> np.random.Generator:
     """Deterministic generator for one (seed, level, realization) cell."""
-    mask = (1 << 64) - 1
-    entropy = (noise.seed & mask, noise.level, noise.realization)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return _cell_rng(noise.seed, noise.level, noise.realization)
+
+
+def _cell_rng(seed: int, level: int, realization: int) -> np.random.Generator:
+    # default_rng's generator for this SeedSequence, without its wrapper's cost
+    entropy = (seed & ((1 << 64) - 1), level, realization)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def noisy_rows(samples: np.ndarray, noise: NoiseSpec, rows: int) -> np.ndarray:
+    """(rows, n): samples plus L*(u - 0.5), u i.i.d. uniform on [0, 1), in row i for the
+    cell of realization noise.realization + i; level 0 gives the samples' values."""
+    out = np.empty((rows, samples.size))
+    for i, row in enumerate(out):
+        _cell_rng(noise.seed, noise.level, noise.realization + i).random(out=row)
+    out -= 0.5
+    out *= noise.amplitude
+    out += samples
+    if not np.isfinite(out).all():
+        raise DomainError("samples contains non-finite values")
+    return out
 
 
 def add_noise(signal: Signal, noise: NoiseSpec) -> Signal:
-    """Add L*(u - 0.5) with u i.i.d. uniform on [0, 1); level 0 returns the input values."""
-    amplitude = noise.amplitude
-    u = noise_rng(noise).random(len(signal))
-    return signal.with_samples(signal.samples + amplitude * (u - 0.5))
+    """The signal with its cell's noise added: noisy_rows' one-row case."""
+    return signal.with_samples(noisy_rows(signal.samples, noise, 1)[0])

@@ -18,18 +18,22 @@ returns only the sums in its `need` set, as {index: sums}.  There is no window
 matrix: sliding_sums loops over the template samples and adds each one's
 terms, for R stacked objects and every lag at once, lag-major: over an (n, R)
 copy of the objects, into one (n_lags, R) accumulator per sum, so a template
-step's window, scratch and accumulators are each one contiguous block.  After
-the loop each of SM, UM and DOT is transposed once into its (R, n_lags) sums;
-memory is O(R * (n + n_lags)).  SM and UM share one clip.  The other four are
-LOOPLESS: AF and SF are each object's (R,) total, and AGW and SGW read the
-template and the lag geometry (g, n, k0, n_lags) alone, never the object, so
-they come from template_sums as one (n_lags,) row that every object shares:
-the lags that hold the whole template share one value, and only the at most
-2m edge lags get their own.  The loop runs only for SM, UM or DOT.  Each sum
-is added in template order starting from 0.0, whatever else is asked, so its
-bits do not depend on `need` or on where it is added.  aligned_sums reduces
-the sums in `need` over an aligned pair, for the whole-signal functionals, in
-that form as one row and one lag.
+step's windows and accumulators are each one contiguous block.  After the
+loops each of SM, UM and DOT is transposed once into its (R, n_lags) sums;
+memory is O(R * (n + n_lags)).  SM and UM come from one clipped copy of the
+objects and its magnitude, kept at the last template step's |g| and re-clipped
+only on the sample range where the next step's clip can change a value, so a
+step adds one window of each.  DOT has a template loop of its own after
+theirs: in one loop, the buffers of both outgrow L2 on a 50-row stack.  The
+other four are LOOPLESS: AF and SF are each object's (R,) total, and AGW and
+SGW read the template and the lag geometry (g, n, k0, n_lags) alone, never the
+object, so they come from template_sums as one (n_lags,) row that every object
+shares: the lags that hold the whole template share one value, and only the at
+most 2m edge lags get their own.  The loops run only for SM, UM or DOT.  Each
+sum is added in template order starting from 0.0, whatever else is asked, so
+its bits do not depend on `need` or on where it is added.  aligned_sums
+reduces the sums in `need` over an aligned pair, for the whole-signal
+functionals, in that form as one row and one lag.
 """
 
 from __future__ import annotations
@@ -102,32 +106,57 @@ def sliding_sums(f: np.ndarray, g: np.ndarray, k0: int, n_lags: int, *, need=ALL
 
 
 def _object_sums(rows, g, k0, n_lags, need):
-    """{SM, UM, DOT: (n_lags, R)}, those in need, of the (R, n) rows: the
-    template loop, the one pass over the objects' windows."""
+    """{SM, UM, DOT: (n_lags, R)}, those in need, of the (R, n) rows: one template loop
+    for SM and UM, then one for DOT, the passes over the objects' windows."""
     n_rows, n = rows.shape
     acc = {s: np.zeros((n_lags, n_rows)) for s in (SM, UM, DOT) if s in need}
-    sm, um, dot = (acc.get(s) for s in (SM, UM, DOT))
     cols = np.ascontiguousarray(rows.T)   # a view at R = 1
-    scratch = np.empty((n_lags, n_rows))
-    for j, gj in enumerate(g.tolist()):
-        # lag k puts template sample j on object sample k0 + k + j; keep it on the grid
-        lo, hi = max(0, -(k0 + j)), min(n_lags, n - k0 - j)
-        if lo >= hi:
-            continue
-        fw, out = cols[k0 + j + lo:k0 + j + hi], scratch[:hi - lo]
-        if sm is not None or um is not None:
-            # sign(g)*clip(f, -|g|, |g|) is sign(f)*sign(g)*min(|f|, |g|) bit for bit;
-            # g >= 0 skips the product, as the zeros it would sign add nothing
-            np.clip(fw, -abs(gj), abs(gj), out=out)
-            if gj < 0:
-                out *= -1.0
-            if sm is not None:
-                np.add(sm[lo:hi], out, out=sm[lo:hi])
-            if um is not None:
-                np.add(um[lo:hi], np.abs(out, out=out), out=um[lo:hi])
-        if dot is not None:
-            np.add(dot[lo:hi], np.multiply(fw, gj, out=out), out=dot[lo:hi])
+    # lag k puts template sample j on object sample k0 + k + j; a step adds lags lo .. hi-1,
+    # the ones that keep it on the grid
+    steps = [(j, gj, max(0, -(k0 + j)), min(n_lags, n - k0 - j)) for j, gj in enumerate(g.tolist())]
+    steps = [step for step in steps if step[2] < step[3]]
+    if steps and (SM in acc or UM in acc):
+        _add_clipped(cols, steps, k0, acc.get(SM), acc.get(UM))
+    if DOT in acc:
+        dot, scratch = acc[DOT], np.empty((n_lags, n_rows))
+        for j, gj, lo, hi in steps:
+            fw = cols[k0 + j + lo:k0 + j + hi]
+            np.add(dot[lo:hi], np.multiply(fw, gj, out=scratch[:hi - lo]), out=dot[lo:hi])
     return acc
+
+
+def _add_clipped(cols, steps, k0, sm, um):
+    """Add each step's SM and UM terms of the (n, R) cols into sm and um, those not None.
+
+    The term sign(f)*sign(g_j)*min(|f|, |g_j|) is sign(g_j)*clip(f, -|g_j|, |g_j|) bit
+    for bit, so the loop keeps clipped = clip(cols, -t, t) at the last step's t = |g_j|,
+    and absc = |clipped|: SM adds (or for g_j < 0 subtracts) a window of clipped, UM adds
+    one of absc.  np.clip(x, -t, t) is x itself, NaN included, wherever |x| <= t, so
+    moving t to the next |g_j| changes only the samples whose |f| exceeds the lower of
+    the two; those lie between the first and the last sample whose peak |f| over the
+    rows does, and the step clips that range alone.
+    """
+    n = cols.shape[0]
+    absc = np.abs(cols)   # |f|, for the peaks; then |clipped| where UM is asked
+    clipped = np.empty_like(absc)
+    peak = np.fmax.reduce(absc, axis=1, initial=0.0)   # a NaN needs no clip
+    mags = np.abs([gj for _, gj, _, _ in steps])
+    floors = np.minimum(mags[1:], mags[:-1])
+    # the first step clips every sample
+    first = [0] + np.searchsorted(np.fmax.accumulate(peak), floors, side="right").tolist()
+    end = [n] + (n - np.searchsorted(np.fmax.accumulate(peak[::-1]), floors,
+                                     side="right")).tolist()
+    for (j, gj, lo, hi), a, b in zip(steps, first, end):
+        if a < b:
+            cols[a:b].clip(-abs(gj), abs(gj), out=clipped[a:b])   # np.clip, minus its dispatch
+            if um is not None:
+                np.abs(clipped[a:b], out=absc[a:b])
+        window = slice(k0 + j + lo, k0 + j + hi)
+        if sm is not None:
+            # sign(g_j) as the operation: a g_j of 0 adds its clip at 0, zeros that add nothing
+            (np.subtract if gj < 0 else np.add)(sm[lo:hi], clipped[window], out=sm[lo:hi])
+        if um is not None:
+            np.add(um[lo:hi], absc[window], out=um[lo:hi])
 
 
 def aligned_sums(f: np.ndarray, g: np.ndarray, *, need=ALL_SUMS):

@@ -37,8 +37,8 @@ import numpy as np
 # method_profile is imported to stay public as mfcorr.sweep.method_profile too
 from .correlate import (BOUNDARIES, canonical_method, max_normalized,  # noqa: F401
                         method_profile, profiles)
-from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, add_noise,
-                         gen_object, gen_template)
+from .generators import (N_NOISE_LEVELS, NoiseSpec, ObjectSpec, TemplateSpec, gen_object,
+                         gen_template, noisy_rows)
 from .indices import EPS_DENOM
 from .metrics import INDEX_NAMES, stack_figures
 from .signal import DomainError, Signal
@@ -185,9 +185,9 @@ def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
     rows = 1 if noiseless else cfg.realizations
     for start in range(0, rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, rows)
-        noisy = np.stack([
-            add_noise(clean, NoiseSpec(level, cfg.base_seed, r, cfg.noise_multiplier)).samples
-            for r in range(start, stop)])
+        noisy = noisy_rows(clean.samples,
+                           NoiseSpec(level, cfg.base_seed, start, cfg.noise_multiplier),
+                           stop - start)
         for name, lags, values in profiles(noisy, clean.x0, clean.dx, template,
                                            cfg.methods, cfg.boundary):
             block[start:stop, cfg.methods.index(name)] = stack_figures(

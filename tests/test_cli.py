@@ -327,6 +327,26 @@ def test_config_file_bad_value(tmp_path, capsys):
                    " invalid int value: 'many'\n")
 
 
+@pytest.mark.parametrize("line,flag,message", [
+    ("realizations = many", ("--realizations", "1"),
+     "argument --realizations: invalid int value: 'many'"),
+    ("seed = x", ("--seed", "2"), "argument --seed: invalid int value: 'x'"),
+    ("boundary = wrap", ("--boundary", "pad"),
+     "argument --boundary: invalid choice: 'wrap'"),
+])
+def test_config_file_bad_value_refused_also_under_its_flag(tmp_path, capsys, line, flag,
+                                                            message):
+    # the command line's flag wins over the file's value, but the value is still checked
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    for flags in ((), flag):
+        code, out, err = _run(capsys, "bench", "--levels", "0", "--methods", "classic",
+                              "--config", str(cfg), *flags, "--out-dir", str(tmp_path))
+        assert code == 1 and out == "", flags
+        assert err.startswith(f"error: config file {cfg}: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv")), flags
+
+
 @pytest.mark.parametrize("argv,message", [
     (["bench", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["bench", "--realizations", "x"], "argument --realizations: invalid int value: 'x'"),

@@ -5,6 +5,7 @@ import pytest
 
 from mfcorr import (DomainError, NoiseSpec, ObjectSpec, Signal, TemplateSpec,
                     add_noise, gen_object, gen_template, noise_rng)
+from mfcorr.generators import noisy_rows
 
 
 def test_object_defaults_grid():
@@ -146,3 +147,28 @@ def test_rng_seed_masking():
     r1 = noise_rng(NoiseSpec(3, seed=(1 << 64) + 5))
     r2 = noise_rng(NoiseSpec(3, seed=5))
     assert r1.uniform() == r2.uniform()
+
+
+@pytest.mark.parametrize("level", [0, 1, 20])
+@pytest.mark.parametrize("multiplier", [0.0, 1.0, 2.5])
+def test_noise_block_equals_stacked_cells(level, multiplier):
+    # a block of realizations 3..9 holds, row by row, the bytes of each cell's add_noise
+    # and of the noise formula drawn from default_rng on the cell's SeedSequence
+    obj = gen_object(ObjectSpec())
+    block = noisy_rows(obj.samples, NoiseSpec(level, seed=11, realization=3,
+                                              multiplier=multiplier), 7)
+    cells = [NoiseSpec(level, seed=11, realization=r, multiplier=multiplier)
+             for r in range(3, 10)]
+    stacked = np.stack([add_noise(obj, noise).samples for noise in cells])
+    assert block.tobytes() == stacked.tobytes()
+    drawn = np.stack([np.random.default_rng(np.random.SeedSequence((11, level, noise.realization)))
+                      .random(obj.samples.size) for noise in cells])
+    formula = obj.samples + cells[0].amplitude * (drawn - 0.5)
+    assert block.tobytes() == formula.tobytes()
+
+
+def test_noise_block_refuses_non_finite_samples():
+    # an amplitude that overflows to inf, as a multiplier near the float limit gives at level 20
+    obj = gen_object(ObjectSpec())
+    with pytest.raises(DomainError, match="non-finite"):
+        noisy_rows(obj.samples, NoiseSpec(20, multiplier=1.7e308), 2)

@@ -282,3 +282,69 @@ def test_paper_scale_stack_rows_equal_single_calls():
         one = sliding_sums(row, template, k0, 640)
         assert block[:, r].tobytes() == stacked(one, 1, 640)[:, 0].tobytes(), r
         assert same_totals(sums, r, one), r
+
+
+def template_loop_reference(f, g, k0, n_lags):
+    """SM, UM and DOT (R, n_lags) as one template loop adds them, clipping each step's
+    window afresh: the loop that kernels._object_sums replaced, kept here as its reference."""
+    rows = np.atleast_2d(f)
+    n_rows, n = rows.shape
+    sm, um, dot = np.zeros((3, n_lags, n_rows))
+    cols = np.ascontiguousarray(rows.T)
+    scratch = np.empty((n_lags, n_rows))
+    for j, gj in enumerate(g.tolist()):
+        lo, hi = max(0, -(k0 + j)), min(n_lags, n - k0 - j)
+        if lo >= hi:
+            continue
+        fw, out = cols[k0 + j + lo:k0 + j + hi], scratch[:hi - lo]
+        np.clip(fw, -abs(gj), abs(gj), out=out)
+        if gj < 0:
+            out *= -1.0
+        np.add(sm[lo:hi], out, out=sm[lo:hi])
+        np.add(um[lo:hi], np.abs(out, out=out), out=um[lo:hi])
+        np.add(dot[lo:hi], np.multiply(fw, gj, out=out), out=dot[lo:hi])
+    return {SM: sm.T, UM: um.T, DOT: dot.T}
+
+
+def _clip_cases(n_rows):
+    """(name, f of (n_rows, 24), g): the objects and templates the clipped buffers must
+    handle as a fresh clip per step does."""
+    rng = np.random.default_rng(25)
+    g = np.concatenate([np.linspace(0.0, 2.0, 6), np.linspace(1.6, 0.0, 5)])
+    ties = rng.choice(np.concatenate([g, -g]), (n_rows, 24))   # every |f| some |g_j|
+    signed = np.array([0.0, -0.0, 1.5, -2.0, 0.0, -0.5, 3.0, -1.0, 0.0])
+    spike = rng.uniform(-0.05, 0.05, (n_rows, 24))
+    spike[n_rows // 2, 17] = 9.0   # the last sample above any floor, in one row
+    inside = rng.uniform(-0.5, 0.5, (n_rows, 24))   # within every |g_j| but the first
+    outside = np.concatenate([[0.0], rng.uniform(1.0, 2.0, 7) * rng.choice([-1, 1], 7)])
+    special = rng.uniform(-3.0, 3.0, (n_rows, 24))
+    special[:, [2, 9, 20]] = [np.inf, -np.inf, np.nan]
+    special[0, 5] = np.nan
+    return [("ties", ties, g), ("signed template", rng.uniform(-3.0, 3.0, (n_rows, 24)), signed),
+            ("spike", spike, g), ("inside", inside, outside), ("inf and nan", special, signed),
+            ("inf and nan, rising", special, g)]
+
+
+def _geometries(n, m):
+    """(k0, n_lags) of pad and valid lags, lags from k0 > 0, and all lags of a longer template."""
+    out = [(-((m - 1) // 2), n), (3, n - 5), (1 - m, n + m - 1)]
+    if m <= n:
+        out.append((0, n - m + 1))
+    return out
+
+
+@pytest.mark.parametrize("n_rows", [1, 7])
+@pytest.mark.parametrize("name", ["ties", "signed template", "spike", "inside", "inf and nan",
+                                  "inf and nan, rising", "template longer than object"])
+def test_clipped_buffers_equal_fresh_clip_bit_for_bit(name, n_rows):
+    cases = dict((case, (f, g)) for case, f, g in _clip_cases(n_rows))
+    cases["template longer than object"] = (cases["ties"][0][:, :8], cases["ties"][1][::-1])
+    f, g = cases[name]
+    for k0, n_lags in _geometries(f.shape[1], g.size):
+        with np.errstate(invalid="ignore"):   # inf * 0 and inf - inf give their nan
+            want = template_loop_reference(f, g, k0, n_lags)
+            got = [(need, sliding_sums(f, g, k0, n_lags, need=need))
+                   for need in ({SM, UM, DOT}, {SM}, {UM})]
+        for need, sums in got:
+            for s in need:
+                assert sums[s].tobytes() == want[s].tobytes(), (s, k0, n_lags, need)
