@@ -111,21 +111,22 @@ def _object_sums(rows, g, k0, n_lags, need):
     n_rows, n = rows.shape
     acc = {s: np.zeros((n_lags, n_rows)) for s in (SM, UM, DOT) if s in need}
     cols = np.ascontiguousarray(rows.T)   # a view at R = 1
-    # lag k puts template sample j on object sample k0 + k + j; a step adds lags lo .. hi-1,
-    # the ones that keep it on the grid
-    steps = [(j, gj, max(0, -(k0 + j)), min(n_lags, n - k0 - j)) for j, gj in enumerate(g.tolist())]
+    # lag k puts template sample j on object sample at + k for at = k0 + j; a step adds
+    # lags lo .. hi-1, the ones that keep it on the grid
+    steps = [(k0 + j, gj, max(0, -(k0 + j)), min(n_lags, n - k0 - j))
+             for j, gj in enumerate(g.tolist())]
     steps = [step for step in steps if step[2] < step[3]]
     if steps and (SM in acc or UM in acc):
-        _add_clipped(cols, steps, k0, acc.get(SM), acc.get(UM))
+        _add_clipped(cols, steps, acc.get(SM), acc.get(UM))
     if DOT in acc:
         dot, scratch = acc[DOT], np.empty((n_lags, n_rows))
-        for j, gj, lo, hi in steps:
-            fw = cols[k0 + j + lo:k0 + j + hi]
-            np.add(dot[lo:hi], np.multiply(fw, gj, out=scratch[:hi - lo]), out=dot[lo:hi])
+        for at, gj, lo, hi in steps:
+            np.add(dot[lo:hi], np.multiply(cols[at + lo:at + hi], gj, out=scratch[:hi - lo]),
+                   out=dot[lo:hi])
     return acc
 
 
-def _add_clipped(cols, steps, k0, sm, um):
+def _add_clipped(cols, steps, sm, um):
     """Add each step's SM and UM terms of the (n, R) cols into sm and um, those not None.
 
     The term sign(f)*sign(g_j)*min(|f|, |g_j|) is sign(g_j)*clip(f, -|g_j|, |g_j|) bit
@@ -146,12 +147,12 @@ def _add_clipped(cols, steps, k0, sm, um):
     first = [0] + np.searchsorted(np.fmax.accumulate(peak), floors, side="right").tolist()
     end = [n] + (n - np.searchsorted(np.fmax.accumulate(peak[::-1]), floors,
                                      side="right")).tolist()
-    for (j, gj, lo, hi), a, b in zip(steps, first, end):
+    for (at, gj, lo, hi), a, b in zip(steps, first, end):
         if a < b:
             cols[a:b].clip(-abs(gj), abs(gj), out=clipped[a:b])   # np.clip, minus its dispatch
             if um is not None:
                 np.abs(clipped[a:b], out=absc[a:b])
-        window = slice(k0 + j + lo, k0 + j + hi)
+        window = slice(at + lo, at + hi)
         if sm is not None:
             # sign(g_j) as the operation: a g_j of 0 adds its clip at 0, zeros that add nothing
             (np.subtract if gj < 0 else np.add)(sm[lo:hi], clipped[window], out=sm[lo:hi])

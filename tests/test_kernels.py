@@ -1,6 +1,7 @@
 """Sliding-sum kernel: naive-loop agreement, window edges, long offset signals, stacks,
 only the sums asked for (no template loop for the loop-less ones), and the template-only
-sums (AGW, SGW) against a loop over the template."""
+sums (AGW, SGW) against a loop over the template, and SM, UM and DOT against a fresh
+clip per template step, bit for bit."""
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def _clip_cases(n_rows):
     ties = rng.choice(np.concatenate([g, -g]), (n_rows, 24))   # every |f| some |g_j|
     signed = np.array([0.0, -0.0, 1.5, -2.0, 0.0, -0.5, 3.0, -1.0, 0.0])
     spike = rng.uniform(-0.05, 0.05, (n_rows, 24))
-    spike[n_rows // 2, 17] = 9.0   # the last sample above any floor, in one row
+    spike[n_rows // 2, 17] = 9.0   # one row's spike, the one sample above the higher floors
     inside = rng.uniform(-0.5, 0.5, (n_rows, 24))   # within every |g_j| but the first
     outside = np.concatenate([[0.0], rng.uniform(1.0, 2.0, 7) * rng.choice([-1, 1], 7)])
     special = rng.uniform(-3.0, 3.0, (n_rows, 24))
@@ -337,7 +338,7 @@ def _geometries(n, m):
 @pytest.mark.parametrize("name", ["ties", "signed template", "spike", "inside", "inf and nan",
                                   "inf and nan, rising", "template longer than object"])
 def test_clipped_buffers_equal_fresh_clip_bit_for_bit(name, n_rows):
-    cases = dict((case, (f, g)) for case, f, g in _clip_cases(n_rows))
+    cases = {case: (f, g) for case, f, g in _clip_cases(n_rows)}
     cases["template longer than object"] = (cases["ties"][0][:, :8], cases["ties"][1][::-1])
     f, g = cases[name]
     for k0, n_lags in _geometries(f.shape[1], g.size):
