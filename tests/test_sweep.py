@@ -368,6 +368,31 @@ def test_aggregates_csv_structure(tmp_path):
     assert "r_xp_mean" in header and "r_h_std" in header and "r_h_n" in header
 
 
+def test_aggregates_follow_config_order(tmp_path):
+    # levels given out of order: one row per cell in the config's level-major order,
+    # n_total the realization count, and every statistic the reduction of its cell's
+    # records, to the byte
+    cfg = SweepConfig(methods=("coincidence", "classic"), levels=(20, 3, 0), realizations=3)
+    res = run_sweep(cfg)
+    path = tmp_path / "agg.csv"
+    write_aggregates_csv(res, path)
+    rec = res.records
+    want = []
+    for level in cfg.levels:
+        for method in cfg.methods:
+            cell = rec.figures[(rec.codes == rec.methods.index(method)) & (rec.levels == level)]
+            row = [method, str(level), "3"]
+            for column in cell.T:
+                values = column[~np.isnan(column)]
+                if not values.size:
+                    row += ["nan", "nan", "0"]
+                    continue
+                std = np.std(values, ddof=1) if np.any(values != values[0]) else 0.0
+                row += ["%.9g" % np.mean(values), "%.9g" % std, str(values.size)]
+            want.append(",".join(row))
+    assert path.read_text().splitlines()[2:] == want
+
+
 def test_missing_secondary_serialized_as_nan(tmp_path):
     rec = records_of([("classic", 2, 0, figures(r_xp=0.1, r_wp=0.2))])
     from mfcorr.sweep import SweepResult
