@@ -109,22 +109,18 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:  # allow a leading minus to fail int() below
-            lo_s, _, hi_s = part.partition("-")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise CliError(f"bad level range {part!r}") from None
-            if hi < lo:
-                raise CliError(f"bad level range {part!r}: end before start")
-            if lo < 0 or hi >= N_NOISE_LEVELS:
-                raise CliError(f"bad level range {part!r}: outside 0..{N_NOISE_LEVELS - 1}")
-            levels.extend(range(lo, hi + 1))
-        else:
-            try:
-                levels.append(int(part))
-            except ValueError:
-                raise CliError(f"bad level {part!r}") from None
+        # a single level is the range lo = hi; a leading minus is its sign, refused below
+        lo_s, dash, hi_s = part.partition("-") if "-" in part[1:] else (part, "", part)
+        what = "level range" if dash else "level"
+        try:
+            lo, hi = int(lo_s), int(hi_s)
+        except ValueError:
+            raise CliError(f"bad {what} {part!r}") from None
+        if hi < lo:
+            raise CliError(f"bad {what} {part!r}: end before start")
+        if lo < 0 or hi >= N_NOISE_LEVELS:
+            raise CliError(f"bad {what} {part!r}: outside 0..{N_NOISE_LEVELS - 1}")
+        levels.extend(range(lo, hi + 1))
     if not levels:
         raise CliError("no noise levels given")
     require_distinct("noise level", levels)

@@ -10,7 +10,9 @@ noiseless level (level 0, or any level at noise multiplier 0) scores one row
 and copies its figures to the rest.  Cells stay independent in their results:
 a record equals what method_profile, normalized, detect_peaks and
 compute_indices give for that cell alone, so the whole sweep is a pure
-function of its configuration.
+function of its configuration.  The figures fill one (levels, realizations,
+methods, 6) block; the records are its rows, and a (method, level) cell's
+aggregates are reduced from its slice of the block, not found in the records.
 
 The levels run on up to two threads, one per usable CPU (MAX_LEVEL_THREADS),
 but only when a level holds a full chunk: numpy releases the GIL inside its
@@ -142,12 +144,10 @@ def _aggregate_cell(figures: np.ndarray) -> dict[str, Aggregate]:
     return out
 
 
-def aggregate_records(records: Records) -> dict[tuple[str, int], dict[str, Aggregate]]:
-    """Statistics per (method, level) cell, cells in order of their first row."""
-    cells = dict.fromkeys(zip(records.codes.tolist(), records.levels.tolist()))
-    return {(records.methods[code], level): _aggregate_cell(
-                records.figures[(records.codes == code) & (records.levels == level)])
-            for code, level in cells}
+def aggregate_records(levels, methods, figures) -> dict[tuple[str, int], dict[str, Aggregate]]:
+    """Statistics per (method, level) cell, level-major: each cell is its slice figures[v, :, i]."""
+    return {(method, level): _aggregate_cell(figures[v, :, i])
+            for v, level in enumerate(levels) for i, method in enumerate(methods)}
 
 
 # Each level in flight adds one chunk's transients to the peak RSS, and what a third
@@ -200,9 +200,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute the noise sweep described by cfg, on _level_threads() if a level fills a chunk."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
-    shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
     # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
-    figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
+    figures = np.full((len(cfg.levels), cfg.realizations, len(cfg.methods), len(INDEX_NAMES)),
+                      math.nan)
 
     # the calling thread is one of the workers.  Levels are handed out in order and none
     # after an error, so every level below a failed one has run when the error is raised.
@@ -235,10 +235,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
+    return sweep_result(cfg, figures)
+
+
+def sweep_result(cfg: SweepConfig, figures: np.ndarray) -> SweepResult:
+    """The records and aggregates of cfg's figures block, figures[v, r, i] as in run_sweep."""
+    level_idx, realizations, codes = np.indices(figures.shape[:3], dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))
-    return SweepResult(cfg, records, aggregate_records(records))
+    return SweepResult(cfg, records, aggregate_records(cfg.levels, cfg.methods, figures))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +310,12 @@ def write_records_csv(result: SweepResult, path) -> None:
 
 
 def write_aggregates_csv(result: SweepResult, path) -> None:
-    rec = result.records
-    cells = [(method, level) for level in result.config.levels
-             for method in result.config.methods]
-    aggs = [result.aggregates[cell] for cell in cells]
+    """One row per cell of result.aggregates, in its order; n_total is every cell's row count."""
+    cells = result.aggregates
     columns = [[method for method, _ in cells], [level for _, level in cells],
-               [np.count_nonzero((rec.codes == rec.methods.index(method)) & (rec.levels == level))
-                for method, level in cells]]
+               [result.config.realizations] * len(cells)]
     for name in INDEX_NAMES:
-        columns += [np.array([agg[name].mean for agg in aggs]),
-                    np.array([agg[name].std for agg in aggs]), [agg[name].n for agg in aggs]]
+        stats = [cell[name] for cell in cells.values()]
+        columns += [np.array([s.mean for s in stats]), np.array([s.std for s in stats]),
+                    [s.n for s in stats]]
     write_csv(path, AGGREGATE_COLUMNS, columns, config_comment(result.config))

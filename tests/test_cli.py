@@ -266,7 +266,7 @@ def test_bench_bad_levels(tmp_path, capsys):
         code, _, err = _run(capsys, "bench", "--levels", levels,
                             "--out-dir", str(tmp_path))
         assert code == 1 and "error:" in err
-    # out-of-range level is caught by the sweep validation
+    # an out-of-range level is refused by the level parser, before the sweep
     code, _, err = _run(capsys, "bench", "--levels", "25", "--out-dir", str(tmp_path))
     assert code == 1 and "error:" in err
 
@@ -673,6 +673,10 @@ def test_parse_levels_ranges():
         _parse_levels(",")
     with pytest.raises(CliError, match="outside 0..20"):
         _parse_levels("0-21")
+    # a single level is checked as the range lo = hi, a leading minus as its sign
+    for level in ("25", "-1"):
+        with pytest.raises(CliError, match=f"^bad level '{level}': outside 0..20$"):
+            _parse_levels(level)
 
 
 def test_bench_level_range_outside_rejected_by_parser(tmp_path, capsys):
@@ -682,6 +686,14 @@ def test_bench_level_range_outside_rejected_by_parser(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == "error: bad level range '0-21': outside 0..20\n"
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_pca_level_outside_rejected_before_any_read(tmp_path, capsys):
+    # a level out of range ends in one error line before the records file is opened
+    code, out, err = _run(capsys, "pca", "--records", str(tmp_path / "missing.csv"),
+                          "--levels", "25", "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: bad level '25': outside 0..20\n"
 
 
 def test_parse_methods_aliases(capsys):

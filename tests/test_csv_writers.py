@@ -24,10 +24,10 @@ from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
-from mfcorr.sweep import (SweepResult, aggregate_records, write_aggregates_csv, write_csv,
+from mfcorr.sweep import (SweepResult, sweep_result, write_aggregates_csv, write_csv,
                           write_records_csv)
 
-from tables import figures, records_of
+from tables import figures
 
 CONFIG = SweepConfig(methods=("classic",), levels=(2,), realizations=2, base_seed=5)
 COMMENT = ("# methods=classic levels=2 realizations=2 seed=5 noise_multiplier=1"
@@ -39,9 +39,8 @@ def _result():
     full = figures(r_xp=0.125, r_wp=1.0 / 3.0, r_xs=-0.25, r_h=1.5e-05, r_ws=2.0,
                    alpha_overlap=-0.0123456789123)
     no_secondary = figures(r_xp=-0.0625, r_wp=0.5)
-    records = records_of([("classic", 2, 0, full),
-                          ("classic", 2, 1, no_secondary)])
-    return SweepResult(CONFIG, records, aggregate_records(records))
+    # CONFIG's figures block: one level, realizations 0 and 1, one method
+    return sweep_result(CONFIG, np.array([[[full], [no_secondary]]]))
 
 
 def test_records_csv_bytes(tmp_path):

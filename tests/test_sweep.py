@@ -15,7 +15,7 @@ from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
                     write_aggregates_csv, write_records_csv)
 from mfcorr import cli, sweep
 from mfcorr.correlate import METHOD_TAGS
-from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
+from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records, sweep_result
 
 from tables import assert_records_equal, figures, records_of
 
@@ -172,11 +172,13 @@ def test_records_do_not_depend_on_chunk_edges(monkeypatch, realizations):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_without_levels_is_empty(monkeypatch, workers):
+def test_sweep_without_levels_is_empty(monkeypatch, tmp_path, workers):
     _pin_workers(monkeypatch, workers, 2)
     result = run_sweep(SweepConfig(methods=("classic",), levels=(), realizations=2))
     assert len(result.records) == 0 and result.records.figures.shape == (0, len(INDEX_NAMES))
     assert result.aggregates == {}
+    write_aggregates_csv(result, tmp_path / "agg.csv")   # the header alone
+    assert (tmp_path / "agg.csv").read_text().splitlines()[1:] == [",".join(AGGREGATE_COLUMNS)]
 
 
 def _fail_off_main_thread(error):
@@ -269,7 +271,7 @@ def test_level_zero_has_zero_std():
 def test_equal_values_have_zero_std():
     # np.std(np.full(50, 0.1), ddof=1) is 2.8e-17: the mean misses 0.1 by an ulp
     same = figures(r_xp=0.1, r_wp=0.1)
-    agg = aggregate_records(records_of([("classic", 0, r, same) for r in range(50)]))
+    agg = aggregate_records((0,), ("classic",), np.tile(same, (1, 50, 1, 1)))
     assert agg[("classic", 0)]["r_xp"].std == 0.0
     assert agg[("classic", 0)]["r_xp"].mean == pytest.approx(0.1)
 
@@ -297,19 +299,16 @@ def test_level_range_checked_before_repeats():
 def test_exclusion_counting_synthetic():
     ok = figures(r_xp=0.1, r_wp=0.2, r_xs=0.0, r_h=2.0, r_ws=0.3, alpha_overlap=0.4)
     no_secondary = figures(r_xp=0.2, r_wp=0.4)
-    records = records_of([
-        ("coincidence", 5, 0, ok),
-        ("coincidence", 5, 1, no_secondary),
-        ("coincidence", 5, 2, figures()),  # total failure
-    ])
-    agg = aggregate_records(records)[("coincidence", 5)]
+    # one level, realizations 0-2, one method; realization 2 a total failure
+    block = np.array([[[ok], [no_secondary], [figures()]]])
+    agg = aggregate_records((5,), ("coincidence",), block)[("coincidence", 5)]
     assert agg["r_xp"].n == 2
     assert agg["r_xp"].mean == pytest.approx(0.15)
     assert agg["r_h"].n == 1
     assert agg["r_h"].mean == 2.0
     assert agg["r_h"].std == 0.0
     # an index with no surviving values at all
-    empty = aggregate_records(records_of([("x", 1, 0, figures())]))[("x", 1)]
+    empty = aggregate_records((1,), ("x",), np.array([[[figures()]]]))[("x", 1)]
     assert empty["r_xp"].n == 0
     assert math.isnan(empty["r_xp"].mean)
 
@@ -394,9 +393,8 @@ def test_aggregates_follow_config_order(tmp_path):
 
 
 def test_missing_secondary_serialized_as_nan(tmp_path):
-    rec = records_of([("classic", 2, 0, figures(r_xp=0.1, r_wp=0.2))])
-    from mfcorr.sweep import SweepResult
-    res = SweepResult(SMALL, rec, aggregate_records(rec))
+    cfg = SweepConfig(methods=("classic",), levels=(2,), realizations=1)
+    res = sweep_result(cfg, np.array([[[figures(r_xp=0.1, r_wp=0.2)]]]))
     path = tmp_path / "r.csv"
     write_records_csv(res, path)
     row = path.read_text().splitlines()[2].split(",")
