@@ -200,9 +200,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute the noise sweep described by cfg, on _level_threads() if a level fills a chunk."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
+    shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
     # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
-    figures = np.full((len(cfg.levels), cfg.realizations, len(cfg.methods), len(INDEX_NAMES)),
-                      math.nan)
+    figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
 
     # the calling thread is one of the workers.  Levels are handed out in order and none
     # after an error, so every level below a failed one has run when the error is raised.
@@ -235,12 +235,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return sweep_result(cfg, figures)
-
-
-def sweep_result(cfg: SweepConfig, figures: np.ndarray) -> SweepResult:
-    """The records and aggregates of cfg's figures block, figures[v, r, i] as in run_sweep."""
-    level_idx, realizations, codes = np.indices(figures.shape[:3], dtype=np.int64).reshape(3, -1)
+    level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))
     return SweepResult(cfg, records, aggregate_records(cfg.levels, cfg.methods, figures))

@@ -1,4 +1,4 @@
-"""Hand-built sweep records tables for the tests, and their comparison."""
+"""Hand-built sweep records tables and results for the tests, and their comparison."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from mfcorr import INDEX_NAMES, Records
+from mfcorr import INDEX_NAMES, Records, SweepConfig
+from mfcorr.sweep import SweepResult, aggregate_records
 
 
 def figures(**named: float) -> list[float]:
@@ -23,6 +24,14 @@ def records_of(rows) -> Records:
         for column in zip(*((methods.index(m), v, r) for m, v, r, _ in rows)))
     return Records(methods, codes, levels, realizations,
                    np.array([row[3] for row in rows], dtype=np.float64))
+
+
+def sweep_result(cfg: SweepConfig, block: np.ndarray) -> SweepResult:
+    """The result of a sweep of cfg whose figures block is block: block[v, r, i] holds the
+    figures of realization r at cfg.levels[v] under cfg.methods[i], as in run_sweep."""
+    rows = [(method, level, r, block[v, r, i]) for v, level in enumerate(cfg.levels)
+            for r in range(cfg.realizations) for i, method in enumerate(cfg.methods)]
+    return SweepResult(cfg, records_of(rows), aggregate_records(cfg.levels, cfg.methods, block))
 
 
 def assert_records_equal(got: Records, want: Records) -> None:

@@ -24,10 +24,9 @@ from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
-from mfcorr.sweep import (SweepResult, sweep_result, write_aggregates_csv, write_csv,
-                          write_records_csv)
+from mfcorr.sweep import SweepResult, write_aggregates_csv, write_csv, write_records_csv
 
-from tables import figures
+from tables import figures, sweep_result
 
 CONFIG = SweepConfig(methods=("classic",), levels=(2,), realizations=2, base_seed=5)
 COMMENT = ("# methods=classic levels=2 realizations=2 seed=5 noise_multiplier=1"

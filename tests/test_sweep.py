@@ -15,9 +15,9 @@ from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
                     write_aggregates_csv, write_records_csv)
 from mfcorr import cli, sweep
 from mfcorr.correlate import METHOD_TAGS
-from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records, sweep_result
+from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
 
-from tables import assert_records_equal, figures, records_of
+from tables import assert_records_equal, figures, records_of, sweep_result
 
 SMALL = SweepConfig(methods=("classic", "coincidence"), levels=(0, 4),
                     realizations=3, base_seed=11)
