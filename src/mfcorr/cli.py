@@ -174,10 +174,6 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _write_profile_csv(result: CorrelationResult, path: Path, comment: str) -> None:
-    write_csv(path, ("lag", "value"), (result.lags, result.values), comment)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -223,7 +219,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         if args.normalize:
             profile = profile.normalized()
         comment = run_header(method=name, **run, **scene_fields(spec, template_spec))
-        _write_profile_csv(profile, out_dir / f"correlate_{name}.csv", comment)
+        write_csv(out_dir / f"correlate_{name}.csv", ("lag", "value"),
+                  (profile.lags, profile.values), comment)
         try:
             pm = detect_peaks(profile.normalized(), spec)
             summary = f"x1={pm.x1:.6g} h1={pm.h1:.6g} w1={pm.w1:.6g}"

@@ -19,10 +19,9 @@ Every profile comes from profiles(), for R stacked objects at once;
 method_profile is its one-object form.
 
 The paper's framework runs several methods on one object, so each thread keeps
-its last one-row object's window sums: the first name adds the loop-less sums
-(kernels.LOOPLESS) beside its own, so a later name adds only the loop sums it
-lacks (_window_sums), or none.  The combined names' stage 2 and the sweep's
-stacks bypass it.
+its last one-row object's window sums, so a later name adds only the sums it reads
+that they lack, or none (_window_sums).  The combined names' stage 2 and the sweep's
+stacks bypass them.
 """
 
 from __future__ import annotations
@@ -115,9 +114,8 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     canonical_method and is yielded in canonical form.  One kernel call serves
     the plain names and the combined ones' first stage (classic), a second
     their second stage; plain names come first.  Each call adds only the window
-    sums its formulas read; for one row, the loop-less ones up front, and then
-    only those that the thread's earlier calls on the same row have not kept
-    (_window_sums).
+    sums its formulas read; for one row, only those not kept from the thread's
+    earlier calls on that row (_window_sums).
     """
     names = [canonical_method(n) for n in names]
     yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, True)
@@ -153,30 +151,30 @@ class _Memo(threading.local):
 
 
 _MEMO = _Memo()
+_SIGNED = {kernels.AF: kernels.SF, kernels.AGW: kernels.SGW}   # magnitude total: signed total
 
 
 def _window_sums(samples, g, k0, n_lags, need, keep):
     """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept for one row if keep.
 
     The kept sums are keyed by content (samples' dtype and bytes, g's bytes, k0,
-    n_lags), so an object changed in place is a miss.  A miss drops the old
-    sums before the kernel runs and asks for need | kernels.LOOPLESS, the sums
-    that cost no pass over the template, so a hit lacks only loop sums (SM,
-    UM, DOT) and adds just those: each sum is added in template order whatever
-    else is asked, so grown sums hold a full call's sums bit for bit.
-    Stacks of more rows (the sweep's) pass straight through.
+    n_lags), so an object changed in place misses, and a miss starts an empty entry.
+    A call adds the sums of need that the entry lacks, and with each magnitude
+    total (AF, AGW) its signed one (SF, SGW): summed in the same order, that one
+    cannot overflow unless its partner does, and jaccard_addition after
+    jaccard_real then makes no call.  Each sum is added in template order whatever
+    else is asked, so grown sums hold a full call's sums bit for bit.  Stacks of
+    more rows (the sweep's) pass straight through.
     """
     if not keep or samples.shape[0] != 1:
         return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
     key = (samples.dtype.str, samples.tobytes(), g.tobytes(), k0, n_lags)
-    memo = _MEMO
-    if memo.key != key:
-        memo.key = memo.sums = None   # so the old sums are freed before the kernel runs
-        memo.sums = kernels.sliding_sums(samples, g, k0, n_lags, need=need | kernels.LOOPLESS)
-        memo.key = key
-    elif missing := need.difference(memo.sums):
-        memo.sums.update(kernels.sliding_sums(samples, g, k0, n_lags, need=missing))
-    return memo.sums
+    if _MEMO.key != key:
+        _MEMO.key, _MEMO.sums = key, {}   # the old sums are freed before the kernel runs
+    need = need | {_SIGNED[s] for s in need & _SIGNED.keys()}
+    if missing := need.difference(_MEMO.sums):
+        _MEMO.sums.update(kernels.sliding_sums(samples, g, k0, n_lags, need=missing))
+    return _MEMO.sums
 
 
 def method_profile(name: str, obj: Signal, template: Signal,

@@ -271,10 +271,12 @@ def write_csv(path, header, columns, comment: str | None = None) -> None:
 
 
 def _field(value) -> str:
-    """A float through _FLOAT_CELL, a tuple (the grid) as its items joined by ":", else str()."""
+    """A float through _FLOAT_CELL, a tuple (the grid) as its items joined by ":", else str();
+    a text with a line break (a file name) in backslash escapes, so the header is one line."""
     if isinstance(value, tuple):
         return ":".join(map(_field, value))
-    return _FLOAT_CELL % value if isinstance(value, float) else str(value)
+    text = _FLOAT_CELL % value if isinstance(value, float) else str(value)
+    return text if text.splitlines() == [text] else text.encode("unicode_escape").decode()
 
 
 def run_header(**fields) -> str:

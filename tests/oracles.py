@@ -264,6 +264,33 @@ def o_detect_peaks(lags, values, exclusion: float):
 
 
 # ---------------------------------------------------------------------------
+# The six merit figures of a profile and its detected peaks, by their written
+# formulas; the overlap is a Riemann sum between the two detected positions.
+
+def o_figures(lags, values, spec, peaks):
+    """[r_xp, r_xs, r_h, r_wp, r_ws, alpha_overlap] for o_detect_peaks' peaks of (lags,
+    values), nan where one is missing: all six when peaks is None, the last five but r_wp
+    when there is no secondary."""
+    if peaks is None:
+        return [math.nan] * 6
+    x1, h1, w1, x2, h2, w2 = peaks
+    r_xp = (spec.x_p - x1) / spec.x_p
+    r_wp = w1 / h1
+    if math.isnan(x2):
+        return [r_xp, math.nan, math.nan, r_wp, math.nan, math.nan]
+    r_xs = (spec.x_s - x2) / spec.x_s
+    r_h = (h1 / h2) / (spec.h_p / spec.h_s)
+    r_ws = w2 / h2
+    lo, hi = min(x1, x2), max(x1, x2)
+    dx = lags[1] - lags[0]
+    total = 0.0
+    for x, v in zip(lags, values):
+        if lo <= x <= hi:
+            total += v
+    return [r_xp, r_xs, r_h, r_wp, r_ws, dx * total]
+
+
+# ---------------------------------------------------------------------------
 # Small symmetric eigenproblems by characteristic polynomial, for checking the
 # eigensolver.
 

@@ -119,6 +119,34 @@ def test_correlate_output_reads_back_as_object(tmp_path, capsys):
     assert (tmp_path / "second" / "correlate_classic.csv").exists()
 
 
+def test_a_line_break_in_a_file_name_stays_in_one_header_line(tmp_path, capsys):
+    # the object's and the records' file names go into the `#` header with
+    # backslash escapes, so a profile written from such an object reads back
+    assert _run(capsys, "correlate", "--methods", "classic",
+                "--out-dir", str(tmp_path / "first"))[0] == 0
+    obj = tmp_path / "ob\nj.csv"
+    obj.write_bytes((tmp_path / "first" / "correlate_classic.csv").read_bytes())
+    code, _, err = _run(capsys, "correlate", "--methods", "classic", "--object", str(obj),
+                        "--out-dir", str(tmp_path / "second"))
+    assert (code, err) == (0, "")
+    profile = tmp_path / "second" / "correlate_classic.csv"
+    header, columns = profile.read_text().splitlines()[:2]
+    assert " object=ob\\nj.csv " in header and columns == "lag,value"
+    code, _, err = _run(capsys, "correlate", "--methods", "classic", "--object", str(profile),
+                        "--out-dir", str(tmp_path / "third"))
+    assert (code, err) == (0, "")
+
+    records = tmp_path / "rec\nords.csv"
+    records.write_bytes(SMALL_RECORDS.read_bytes())
+    code, _, _ = _run(capsys, "pca", "--records", str(records), "--levels", "10",
+                      "--out-dir", str(tmp_path / "pca"))
+    assert code == 0
+    for name, columns in (("pca_10.csv", "label,pc1,pc2"), ("pca_meta_10.csv", "key,value")):
+        lines = (tmp_path / "pca" / name).read_text().splitlines()
+        assert lines[0].startswith("# records=rec\\nords.csv level=10 "), name
+        assert lines[1] == columns, name
+
+
 def test_correlate_all_negative_object_reports_failed_detection(tmp_path, capsys):
     # a positive template on a negative object gives a negative classic profile
     obj = gen_object(ObjectSpec())
@@ -411,6 +439,42 @@ def test_window_sums_out_of_float_range_are_one_error_line(tmp_path, argv, warni
     assert proc.stderr.startswith("error: out of float range: overflow encountered in ")
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert list(tmp_path.iterdir()) == []   # no inf or nan profile, no all-nan records
+
+
+HUGE_SCENE = ("--hp", "1e307", "--hs", "1e306", "--template-amplitude", "1e-10")
+
+
+def test_totals_no_formula_reads_do_not_leave_the_float_range(tmp_path):
+    # the scene's sum of |f| overflows but classic reads only DOT, whose sums are
+    # finite; level 0's one row (through the window-sum memo) scores as level 1's stack
+    proc = _run_fresh(("-W", "error"), "correlate", "--methods", "classic", *HUGE_SCENE,
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    proc = _run_fresh(("-W", "error"), "bench", "--methods", "classic", *HUGE_SCENE,
+                      "--levels", "0-1", "--realizations", "2", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    rows = (tmp_path / "records.csv").read_text().splitlines()[2:]
+    assert len(rows) == 4 and len({row.split(",", 3)[3] for row in rows}) == 1
+    assert "nan" not in rows[0]
+
+
+@pytest.mark.parametrize("scene", ["huge", "alternating"])
+def test_a_total_read_out_of_float_range_is_one_error_line(tmp_path, capsys, scene):
+    if scene == "huge":
+        argv, finite, reads_af = HUGE_SCENE, ("classic",), "jaccard_real"
+    else:
+        obj = tmp_path / "alternating.csv"
+        obj.write_text("".join(f"{0.01 * i:.2f},{(-1) ** i * 1e307}\n" for i in range(640)))
+        argv, finite, reads_af = ("--object", str(obj)), ("classic", "jaccard_addition"), \
+            "interiority"
+    for name in finite:
+        code, _, err = _run(capsys, "correlate", "--methods", name, *argv,
+                            "--out-dir", str(tmp_path / "ok"))
+        assert code == 0 and err == "", (name, err)
+    code, out, err = _run(capsys, "correlate", "--methods", ",".join(finite + (reads_af,)),
+                          *argv, "--out-dir", str(tmp_path / "af"))
+    assert code == 1 and out == ""
+    assert err == "error: out of float range: overflow encountered in reduce\n"
 
 
 def test_help_exits_zero(capsys):

@@ -392,25 +392,28 @@ def test_memo_is_per_thread(kernel_calls):
         assert sorted(loop_sums) == [kernels.SM, kernels.UM, kernels.DOT]
 
 
-@pytest.mark.parametrize("names, most", [(LONG_SIGNAL_NAMES, 3), (ALL_NAMES, 7)])
-def test_memo_kernel_calls_per_object(kernel_calls, names, most):
+@pytest.mark.parametrize("names, calls", [(LONG_SIGNAL_NAMES, 3), (ALL_NAMES, 7)])
+def test_memo_kernel_calls_per_object(kernel_calls, names, calls):
     # one call per method would make 8 kernel calls for the long-signal names
     # and 16 for all 11 (each combined name also calls for its stage 1); stage
     # 2 is not kept, so each combined name still makes that call of its own.
-    # The first call adds the loop-less sums too, so a name that lacks only
-    # those (jaccard_addition: SGW, SF) makes none.
+    # A call adds the signed total beside each magnitude total it adds, so a
+    # name that lacks only those (jaccard_addition after jaccard_real: SGW, SF)
+    # makes none.
     rng = np.random.default_rng(35)
     obj = Signal(rng.uniform(-2.0, 2.0, 200), dx=0.1)
     tpl = Signal(rng.uniform(-2.0, 2.0, 15), dx=0.1)
     method_profile("classic", Signal(np.ones(5), dx=0.1), tpl)   # a different object last
     kernel_calls.clear()
     asked = set()
+    signed = {kernels.AF: kernels.SF, kernels.AGW: kernels.SGW}
     for name in names:
         method_profile(name, obj, tpl)
-        # the kept entry holds the loop-less sums and the loop sums asked for so far
+        # the kept entry holds the sums asked for so far and their signed partners
         asked |= SUMS_READ["classic" if name.startswith("combined_") else name]
-        assert correlate._MEMO.sums.keys() == asked | kernels.LOOPLESS, name
-    assert len(kernel_calls) <= most, kernel_calls
+        partners = {signed[s] for s in asked if s in signed}
+        assert correlate._MEMO.sums.keys() == asked | partners, name
+    assert len(kernel_calls) == calls, kernel_calls
     # on the object no sum is added twice and each sum of the template loop is
     # added; every kernel call asks for SM, UM or DOT, so none is made for the
     # loop-less sums alone
@@ -420,6 +423,37 @@ def test_memo_kernel_calls_per_object(kernel_calls, names, most):
     assert {kernels.SM, kernels.UM, kernels.DOT} <= set(added)
     assert all(need - kernels.LOOPLESS for _, _, need in kernel_calls)
     assert len(kernel_calls) - len(mine) == sum(n.startswith("combined_") for n in names)
+
+
+def _huge_cases():
+    """(object, template, names whose sums stay finite, a name that reads AF) for objects
+    whose sum of |f| overflows: the 1e307 scene under a 1e-10 template, whose DOT sums
+    are finite, and 640 samples alternating +-1e307, whose SM, SGW and SF sums are."""
+    scene = gen_object(ObjectSpec(h_p=1e307, h_s=1e306))
+    tpl = gen_template(TemplateSpec(amplitude=1e-10), scene.dx)
+    alternating = Signal(np.resize([1e307, -1e307], 640), dx=scene.dx)
+    return [(scene, tpl, ("classic",), "jaccard_real"),
+            (alternating, gen_template(TemplateSpec(), scene.dx),
+             ("classic", "jaccard_addition"), "interiority")]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["scene", "alternating"])
+def test_memo_adds_no_total_that_the_names_do_not_read_or_bound(case):
+    # a one-row call adds no magnitude total its names do not read, so a total that
+    # overflows fails only a name that reads it (the profile of a 2-row stack, which
+    # bypasses the memo, is the same row twice)
+    obj, tpl, finite, reads_af = _huge_cases()[case]
+
+    def run(names):
+        with np.errstate(over="raise"):
+            return [method_profile(name, obj, tpl) for name in names]
+
+    for name, profile in zip(finite, run(finite)):
+        assert np.isfinite(profile.values).all(), name
+        [(_, _, stack)] = profiles(np.stack([obj.samples] * 2), obj.x0, obj.dx, tpl, (name,))
+        assert stack.tobytes() == np.stack([profile.values] * 2).tobytes(), name
+    with pytest.raises(FloatingPointError, match="overflow"):
+        run(finite + (reads_af,))
 
 
 def test_correlate_command_shares_one_pass_between_names(kernel_calls, tmp_path):

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcorr import FeatureMatrix, Records, SweepConfig, read_records, sweep
-from mfcorr.cli import _write_profile_csv
 from mfcorr.correlate import CorrelationResult
 from mfcorr.metrics import INDEX_NAMES
 from mfcorr.pca import write_meta_csv, write_projection_csv
@@ -110,7 +109,8 @@ def test_meta_csv_bytes(tmp_path):
 def test_profile_csv_bytes(tmp_path):
     path = tmp_path / "correlate_classic.csv"
     profile = CorrelationResult(lags=[-0.01, 0.0, 0.01], values=[0.5, 1.0, -1.0 / 3.0])
-    _write_profile_csv(profile, path, "# method=classic boundary=pad")
+    write_csv(path, ("lag", "value"), (profile.lags, profile.values),
+              "# method=classic boundary=pad")
     assert path.read_bytes().decode() == (
         "# method=classic boundary=pad\n"
         "lag,value\n"

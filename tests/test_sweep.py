@@ -13,8 +13,10 @@ from mfcorr import (BOUNDARIES, INDEX_NAMES, DomainError, NoiseSpec, ObjectSpec,
                     SweepConfig, TemplateSpec, add_noise, canonical_method, compute_indices, detect_peaks,
                     gen_object, gen_template, method_profile, run_sweep,
                     write_aggregates_csv, write_records_csv)
+import oracles as orc
 from mfcorr import cli, sweep
-from mfcorr.correlate import METHOD_TAGS
+from mfcorr.correlate import METHOD_TAGS, max_normalized, profiles
+from mfcorr.generators import noisy_rows
 from mfcorr.sweep import AGGREGATE_COLUMNS, RECORD_COLUMNS, aggregate_records
 
 from tables import assert_records_equal, figures, records_of, sweep_result
@@ -89,6 +91,52 @@ def test_sweep_records_equal_per_cell_path(boundary):
     methods = METHOD_TAGS + ("combined_coincidence", "combined_jaccard_addition")
     _assert_equal_per_cell_path(SweepConfig(methods=methods, levels=(0, 10, 20),
                                             realizations=3, base_seed=5, boundary=boundary))
+
+
+# a coarse grid (dx = 0.1) keeps the brute-force profiles fast; in the second scene
+# the secondary lies inside the primary's exclusion zone
+ORACLE_SCENES = {"apart": ObjectSpec(grid=(0.0, 6.4, 64)),
+                 "inside-exclusion": ObjectSpec(x_s=3.9, grid=(0.0, 6.4, 64))}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("scene", ORACLE_SCENES)
+def test_sweep_figures_match_the_oracle_chain(scene, boundary):
+    # every record against the brute-force chain: o_profile must agree with the
+    # sweep's profile, and o_detect_peaks and o_figures on the sweep's own
+    # normalized profile must give the record (peaks are found on the sweep's
+    # profile, as near-ties could flip an argmax between two profiles that agree
+    # only within a tolerance)
+    spec = ORACLE_SCENES[scene]
+    methods = METHOD_TAGS + tuple("combined_" + tag for tag in METHOD_TAGS[1:])
+    cfg = SweepConfig(methods=methods, object_spec=spec, levels=(0, 10, 20), realizations=2,
+                      base_seed=3, boundary=boundary)
+    got = run_sweep(cfg).records.figures.reshape(len(cfg.levels), cfg.realizations,
+                                                 len(methods), len(INDEX_NAMES))
+    clean = gen_object(spec)
+    template = gen_template(cfg.template_spec, clean.dx)
+    exclusion = 3.0 * max(spec.sigma_p, spec.sigma_s)
+    for v, level in enumerate(cfg.levels):
+        noisy = noisy_rows(clean.samples, NoiseSpec(level, cfg.base_seed), cfg.realizations)
+        for name, lags, values in profiles(noisy, clean.x0, clean.dx, template, methods,
+                                           boundary):
+            for r, row in enumerate(values):
+                cell = f"{name} level {level} realization {r}"
+                want_lags, want = orc.o_profile(noisy[r].tolist(), clean.x0, clean.dx,
+                                                template.samples.tolist(), name, boundary)
+                np.testing.assert_allclose(lags, want_lags, atol=1e-12)
+                np.testing.assert_allclose(row, want, rtol=0,
+                                           atol=1e-12 * max(1.0, max(map(abs, want))),
+                                           err_msg=cell)
+                normalized = max_normalized(row).tolist()
+                peaks = orc.o_detect_peaks(lags.tolist(), normalized, exclusion)
+                np.testing.assert_allclose(
+                    got[v, r, methods.index(name)],
+                    orc.o_figures(lags.tolist(), normalized, spec, peaks),
+                    rtol=0, atol=1e-12, err_msg=cell)
+    # every record far apart has a secondary; inside the exclusion zone some lack one
+    secondary_found = ~np.isnan(got[..., INDEX_NAMES.index("r_h")])
+    assert secondary_found.any() and secondary_found.all() == (scene == "apart")
 
 
 @pytest.mark.parametrize("multiplier, levels", [(1.0, (0, 1)), (0.0, (0, 1, 20))])
