@@ -16,8 +16,8 @@ from .generators import (DEFAULT_TEMPLATE_AMPLITUDE, DEFAULT_TEMPLATE_WIDTH, N_N
                          gen_template)
 from .peaks import detect_peaks
 from .signal import DomainError, Signal
-from .sweep import (DEFAULT_METHODS, SweepConfig, require_distinct, run_header, run_sweep,
-                    scene_fields, write_aggregates_csv, write_csv, write_records_csv)
+from .sweep import (DEFAULT_METHODS, SweepConfig, one_line, require_distinct, run_header,
+                    run_sweep, scene_fields, write_aggregates_csv, write_csv, write_records_csv)
 
 class CliError(Exception):
     """User-facing failure; printed as a single line and exits nonzero."""
@@ -177,13 +177,6 @@ def _is_float(token: str) -> bool:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-# correlate, bench and each pca level stop with a FloatingPointError where a value leaves
-# the float range (the window sums of huge finite inputs, the column sums of huge finite
-# figures) instead of warning and writing inf or nan
-_IN_FLOAT_RANGE = dict(over="raise", divide="raise", invalid="raise")
-
-
-@np.errstate(**_IN_FLOAT_RANGE)
 def _cmd_correlate(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     obj = _load_object_csv(args.object) if args.object else gen_object(spec)
@@ -235,7 +228,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-@np.errstate(**_IN_FLOAT_RANGE)
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _object_spec(args)
     levels = _parse_levels(args.levels)
@@ -268,17 +260,16 @@ def _cmd_pca(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                with np.errstate(**_IN_FLOAT_RANGE):
-                    matrix = pca_mod.level_matrix(records, level, methods)
-                    model = pca_mod.pca_fit(matrix)
-                    scores = pca_mod.project(matrix, model)
-                    dispersions = pca_mod.group_dispersion(matrix.labels, scores)
+                matrix = pca_mod.level_matrix(records, level, methods)
+                model = pca_mod.pca_fit(matrix)
+                scores = pca_mod.project(matrix, model)
+                dispersions = pca_mod.group_dispersion(matrix.labels, scores)
             except pca_mod.AnalysisError as exc:
                 raise CliError(f"level {level}: {exc}") from exc
             except FloatingPointError as exc:
                 raise CliError(f"level {level}: out of float range: {exc}") from exc
         for warning in caught:
-            print(f"warning: level {level}: {warning.message} ({records_name})",
+            print(one_line(f"warning: level {level}: {warning.message} ({records_name})"),
                   file=sys.stderr)
         comment = run_header(records=records_name, level=level, methods=",".join(methods))
         pca_mod.write_projection_csv(matrix.labels, scores, out_dir / f"pca_{level}.csv",
@@ -364,12 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
-        return args.func(args)
+        # a command stops with a FloatingPointError where a value leaves the float range
+        # (the window sums of huge finite inputs, the column sums of huge finite figures)
+        # instead of warning and writing inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (CliError, ValueError, OSError, MemoryError,  # DomainError is a ValueError
             FloatingPointError) as exc:
         cause = ("out of memory: " if isinstance(exc, MemoryError) else
                  "out of float range: " if isinstance(exc, FloatingPointError) else "")
-        print(f"error: {cause}{exc}", file=sys.stderr)
+        print(one_line(f"error: {cause}{exc}"), file=sys.stderr)   # a file name may break lines
         return 1
 
 

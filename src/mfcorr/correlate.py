@@ -18,10 +18,10 @@ at the matched feature's position.  The template's own x0 plays no role.
 Every profile comes from profiles(), for R stacked objects at once;
 method_profile is its one-object form.
 
-The paper's framework runs several methods on one object, so each thread keeps
-its last one-row object's window sums, so a later name adds only the sums it reads
-that they lack, or none (_window_sums).  The combined names' stage 2 and the sweep's
-stacks bypass them.
+profiles is a pure function of its arguments: one call makes all its names in
+one pass.  method_profile, called once per name, keeps each thread's last
+object's window sums, so a later name on that object adds only the sums it reads
+that they lack, or none (_window_sums); its combined names' stage 2 does not.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ def profiles(samples: np.ndarray, x0: float, dx: float, template: Signal,
     canonical_method and is yielded in canonical form.  One kernel call serves
     the plain names and the combined ones' first stage (classic), a second
     their second stage; plain names come first.  Each call adds only the window
-    sums its formulas read; for one row, only those not kept from the thread's
-    earlier calls on that row (_window_sums).
+    sums its formulas read, and keeps none.
     """
-    names = [canonical_method(n) for n in names]
-    yield from _profiles(np.atleast_2d(samples), x0, dx, template, names, boundary, True)
+    yield from _profiles(np.atleast_2d(samples), x0, dx, template,
+                         [canonical_method(n) for n in names], boundary, kernels.sliding_sums)
 
 
-def _profiles(samples, x0, dx, template, names, boundary, keep):
+def _profiles(samples, x0, dx, template, names, boundary, window_sums):
+    """profiles() with stage 1's sums from window_sums(samples, g, k0, n_lags, need=...)."""
     inner = {n.removeprefix(COMBINED_PREFIX): n for n in names if n.startswith(COMBINED_PREFIX)}
     if not same_spacing(dx, template.dx):
         raise AlignmentError(f"dx mismatch: object {dx} vs template {template.dx}")
@@ -129,23 +129,23 @@ def _profiles(samples, x0, dx, template, names, boundary, keep):
     lags = _lag_axis(x0, dx, k0, n_lags, center)
     need = set().union(*(SUMS_READ["classic" if n.startswith(COMBINED_PREFIX) else n]
                          for n in names))
-    sums = _window_sums(samples, template.samples, k0, n_lags, need, keep)
+    sums = window_sums(samples, template.samples, k0, n_lags, need=need)
     for name in names:
         if not name.startswith(COMBINED_PREFIX):
             yield name, lags, profile_values(name, sums, dx)
     if inner:
         # stage 2 slides the template over each row's max-normalized classic
-        # profile; that object is this call's alone, so its sums are not kept
+        # profile; that object is this call's alone, so its sums are never kept
         stage1 = profile_values("classic", sums, dx)
         del sums
         stage1 = max_normalized(stage1, out=stage1)
         for tag, lags2, values in _profiles(stage1, float(lags[0]), dx, template, inner,
-                                            boundary, False):
+                                            boundary, kernels.sliding_sums):
             yield inner[tag], lags2, values
 
 
 class _Memo(threading.local):
-    """This thread's kept window sums: those of its last one-row object, and its key."""
+    """This thread's kept window sums: those of method_profile's last object, and its key."""
 
     key = sums = None
 
@@ -154,21 +154,18 @@ _MEMO = _Memo()
 _SIGNED = {kernels.AF: kernels.SF, kernels.AGW: kernels.SGW}   # magnitude total: signed total
 
 
-def _window_sums(samples, g, k0, n_lags, need, keep):
-    """kernels.sliding_sums(samples, g, k0, n_lags, need=need), kept for one row if keep.
+def _window_sums(samples, g, k0, n_lags, need):
+    """kernels.sliding_sums(samples, g, k0, n_lags, need=need) of one float64 row, kept.
 
-    The kept sums are keyed by content (samples' dtype and bytes, g's bytes, k0,
-    n_lags), so an object changed in place misses, and a miss starts an empty entry.
-    A call adds the sums of need that the entry lacks, and with each magnitude
-    total (AF, AGW) its signed one (SF, SGW): summed in the same order, that one
-    cannot overflow unless its partner does, and jaccard_addition after
-    jaccard_real then makes no call.  Each sum is added in template order whatever
-    else is asked, so grown sums hold a full call's sums bit for bit.  Stacks of
-    more rows (the sweep's) pass straight through.
+    The sums are keyed by content (samples' and g's bytes, k0, n_lags), so an object
+    changed in place misses, and a miss starts an empty entry.  A call adds the sums
+    of need that the entry lacks, and with each magnitude total (AF, AGW) its signed
+    one (SF, SGW): summed in the same order, that one cannot overflow unless its
+    partner does, and jaccard_addition after jaccard_real then makes no call.  Each
+    sum is added in template order whatever else is asked, so grown sums hold a full
+    call's sums bit for bit.
     """
-    if not keep or samples.shape[0] != 1:
-        return kernels.sliding_sums(samples, g, k0, n_lags, need=need)
-    key = (samples.dtype.str, samples.tobytes(), g.tobytes(), k0, n_lags)
+    key = (samples.tobytes(), g.tobytes(), k0, n_lags)
     if _MEMO.key != key:
         _MEMO.key, _MEMO.sums = key, {}   # the old sums are freed before the kernel runs
     need = need | {_SIGNED[s] for s in need & _SIGNED.keys()}
@@ -188,5 +185,6 @@ def method_profile(name: str, obj: Signal, template: Signal,
     over the max-normalized classic profile (the indices are magnitude
     sensitive); lags are template midpoints, so they stay in object coordinates.
     """
-    _, lags, values = next(profiles(obj.samples, obj.x0, obj.dx, template, (name,), boundary))
+    _, lags, values = next(_profiles(np.atleast_2d(obj.samples), obj.x0, obj.dx, template,
+                                     [canonical_method(name)], boundary, _window_sums))
     return CorrelationResult(lags, values[0])

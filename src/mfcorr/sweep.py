@@ -6,8 +6,8 @@ its realizations are stacked and profiled CHUNK_ROWS at a time, with one kernel
 call per chunk for the plain methods and the combined methods' first stage and
 one for their second stage, and each method's stack of profiles is normalized,
 searched for peaks and scored in one block (metrics.stack_figures).  A
-noiseless level (level 0, or any level at noise multiplier 0) scores one row
-and copies its figures to the rest.  Cells stay independent in their results:
+noiseless level scores one row and copies its figures to the rest, and at noise
+multiplier 0 the first level's block to the others.  Cells stay independent:
 a record equals what method_profile, normalized, detect_peaks and
 compute_indices give for that cell alone, so the whole sweep is a pure
 function of its configuration.  The figures fill one (levels, realizations,
@@ -206,7 +206,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     # the calling thread is one of the workers.  Levels are handed out in order and none
     # after an error, so every level below a failed one has run when the error is raised.
-    order = iter(range(len(cfg.levels)))
+    # at noise multiplier 0 every level scores the clean object: the first one's block serves all
+    scored = cfg.levels[:1] if cfg.noise_multiplier == 0 else cfg.levels
+    order = iter(range(len(scored)))
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}
     errstate = np.geterr()   # the helpers handle float errors as the calling thread does
@@ -219,13 +221,13 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 if v is None:
                     return
                 try:
-                    _score_level(cfg, clean, template, cfg.levels[v], figures[v])
+                    _score_level(cfg, clean, template, scored[v], figures[v])
                 except BaseException as exc:
                     errors[v] = exc
 
     threads = _level_threads() if cfg.realizations >= CHUNK_ROWS else 1
     helpers = [threading.Thread(target=work)
-               for _ in range(min(threads, len(cfg.levels)) - 1)]
+               for _ in range(min(threads, len(scored)) - 1)]
     for thread in helpers:
         thread.start()
     try:
@@ -235,6 +237,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             thread.join()
     if errors:
         raise errors[min(errors)]
+    figures[len(scored):] = figures[:1]
     level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))
@@ -270,13 +273,17 @@ def write_csv(path, header, columns, comment: str | None = None) -> None:
             fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
 
 
+def one_line(text: str) -> str:
+    """text, or its backslash escapes if str.splitlines() would split it (a file name may)."""
+    return text if text.splitlines() == [text] else text.encode("unicode_escape").decode()
+
+
 def _field(value) -> str:
     """A float through _FLOAT_CELL, a tuple (the grid) as its items joined by ":", else str();
-    a text with a line break (a file name) in backslash escapes, so the header is one line."""
+    each on one line (one_line), so the header is one line."""
     if isinstance(value, tuple):
         return ":".join(map(_field, value))
-    text = _FLOAT_CELL % value if isinstance(value, float) else str(value)
-    return text if text.splitlines() == [text] else text.encode("unicode_escape").decode()
+    return one_line(_FLOAT_CELL % value if isinstance(value, float) else str(value))
 
 
 def run_header(**fields) -> str:

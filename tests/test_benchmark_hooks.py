@@ -5,12 +5,15 @@ the kernel's positional arguments; perfbench/worker.py prints the kernel
 backend; perfbench/workloads.py matches long-signal records through
 `sweep.method_profile`, `.normalized()` and `peaks.detect_peaks`, untraced.
 A renamed or deleted hook would otherwise show only in a benchmark run, as
-failed operations or a traced run's zeros.
+failed operations or a traced run's zeros.  The runs kept in
+BENCH_trajectory.json must name what BENCHMARK.json declares.
 """
 
+import datetime
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -59,3 +62,25 @@ def test_long_signal_match_returns_a_profile_and_peaks(monkeypatch):
         raw, pm = result
         assert raw.lags.shape == raw.values.shape == x.shape, name
         assert pm is None or isinstance(pm, PeakMeasurement), name
+
+
+def test_trajectory_entries_hold_the_declared_workloads_and_metrics():
+    # scripts/bench_entry.py appends one entry per (commit, workload): where, when and
+    # how long it ran, and each run's end-to-end metrics as perfbench printed them
+    root = PERFBENCH.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    assert len(metrics) == 6
+    entries = json.loads((root / "BENCH_trajectory.json").read_text())
+    assert isinstance(entries, list) and entries
+    for i, entry in enumerate(entries):
+        assert isinstance(entry["commit"], str) and entry["commit"], i
+        datetime.date.fromisoformat(entry["date"])
+        assert {"cpus", "python", "numpy"} <= entry["host"].keys(), i
+        assert isinstance(entry["seed"], int) and entry["seconds"] > 0, i
+        assert entry["workload"] in workloads, i
+        assert entry["runs"], i
+        for run in entry["runs"]:
+            assert metrics <= run["metrics"].keys(), i
+            assert all(isinstance(run["metrics"][m]["value"], (int, float)) for m in metrics), i

@@ -147,6 +147,46 @@ def test_a_line_break_in_a_file_name_stays_in_one_header_line(tmp_path, capsys):
         assert lines[1] == columns, name
 
 
+def _bad_object(path):
+    path.write_text("x,v\n0,1\n0.1,2\nbad\n")
+
+
+def _bad_config(path):
+    path.write_text("seed = 1\nbogus\n")
+
+
+def _bad_records(path):
+    path.write_text(",".join(RECORD_COLUMNS) + "\nclassic,1,0,1,2\n")
+
+
+def _constant_r_xp_records(path):
+    _write_records(path, (1,), seed=5, r_xp=0.25)
+
+
+@pytest.mark.parametrize("make,argv,code", [
+    (None, ("correlate", "--methods", "classic", "--object"), 1),   # the file is missing
+    (_bad_object, ("correlate", "--methods", "classic", "--object"), 1),
+    (_bad_config, ("bench", "--config"), 1),
+    (_bad_records, ("pca", "--levels", "1", "--records"), 1),
+    (_constant_r_xp_records, ("pca", "--levels", "1", "--records"), 0),   # a warning
+], ids=["missing-object", "bad-object-row", "bad-config-line", "bad-records-row",
+        "pca-warning"])
+def test_a_line_break_in_a_file_name_stays_in_one_stderr_line(tmp_path, capsys, make, argv,
+                                                               code):
+    # an error or warning line names the file with backslash escapes, as the
+    # `#` headers do; a name without a line break is printed as it is
+    for name in ("in.txt", "i\nn.txt"):
+        path = tmp_path / name
+        if make:
+            make(path)
+        got, _, err = _run(capsys, *argv, str(path), "--out-dir", str(tmp_path / "out"))
+        assert got == code, err
+        assert err.startswith("error: " if code else "warning: ")
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        shown = name.encode("unicode_escape").decode()
+        assert shown in err and (shown == name) == (name in err), err
+
+
 def test_correlate_all_negative_object_reports_failed_detection(tmp_path, capsys):
     # a positive template on a negative object gives a negative classic profile
     obj = gen_object(ObjectSpec())
@@ -446,7 +486,7 @@ HUGE_SCENE = ("--hp", "1e307", "--hs", "1e306", "--template-amplitude", "1e-10")
 
 def test_totals_no_formula_reads_do_not_leave_the_float_range(tmp_path):
     # the scene's sum of |f| overflows but classic reads only DOT, whose sums are
-    # finite; level 0's one row (through the window-sum memo) scores as level 1's stack
+    # finite; level 0's one-row stack scores as level 1's two-row stack
     proc = _run_fresh(("-W", "error"), "correlate", "--methods", "classic", *HUGE_SCENE,
                       "--out-dir", str(tmp_path))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr

@@ -1,4 +1,5 @@
-"""Sliding correlation engine: worked cases, invariants, oracle equivalence, the memo."""
+"""Sliding correlation engine: worked cases, invariants, oracle equivalence, the memo
+that method_profile keeps."""
 
 import re
 import sys
@@ -13,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles as orc
 from mfcorr import (AlignmentError, DomainError, ObjectSpec, Signal, SweepConfig,
-                    TemplateSpec, gen_object, gen_template, method_profile)
+                    TemplateSpec, gen_object, gen_template, method_profile, run_sweep)
 from mfcorr import correlate, kernels
 from mfcorr.cli import main
 from mfcorr.correlate import profiles
@@ -285,16 +286,39 @@ def stacks_and_names(draw):
 @settings(max_examples=200, deadline=None)
 def test_values_do_not_depend_on_other_names(case):
     # each call adds only the sums its names read: a name's values must not
-    # depend on which other names share the call.  Each call runs on a new
-    # thread, whose memo is empty, so one-row calls reach the kernel too.
+    # depend on which other names share the call
     f, tpl, names, boundary = case
-    together = _on_new_thread(lambda: {name: values for name, _, values in
-                                       profiles(f, -1.0, 0.25, tpl, names, boundary)})
+    together = {name: values for name, _, values in
+                profiles(f, -1.0, 0.25, tpl, names, boundary)}
     assert sorted(together) == sorted(names)
     for name in names:
-        [(_, _, alone)] = _on_new_thread(lambda: list(profiles(f, -1.0, 0.25, tpl, (name,),
-                                                               boundary)))
+        [(_, _, alone)] = profiles(f, -1.0, 0.25, tpl, (name,), boundary)
         assert together[name].tobytes() == alone.tobytes(), name
+
+
+def test_profiles_keeps_nothing_between_calls(kernel_calls, monkeypatch, tmp_path):
+    # profiles is a pure function of its arguments: a second call on the same row
+    # makes the same kernel calls as the first, and neither profiles, a sweep
+    # (a one-row level 0, one-row stacks at one realization) nor mfcorr correlate
+    # reaches the memo that method_profile keeps
+    kept = []
+    monkeypatch.setattr(correlate, "_window_sums", lambda *args, **kw: kept.append(args))
+    monkeypatch.setattr(correlate._MEMO, "key", "untouched")
+    monkeypatch.setattr(correlate._MEMO, "sums", "untouched")
+    rng = np.random.default_rng(37)
+    f = rng.uniform(-2.0, 2.0, 80)
+    tpl = Signal(rng.uniform(-2.0, 2.0, 9), dx=0.25)
+    runs = []
+    for _ in range(2):
+        kernel_calls.clear()
+        values = [v for _, _, v in profiles(f, -1.0, 0.25, tpl, ALL_NAMES)]
+        runs.append(([need for _, _, need in kernel_calls], values))
+    assert len(runs[0][0]) == 2 and runs[0][0] == runs[1][0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][1], runs[1][1]))
+    run_sweep(SweepConfig(levels=(0, 5), realizations=1, methods=ALL_NAMES))
+    assert main(["correlate", "--methods", ",".join(ALL_NAMES), "--out-dir", str(tmp_path)]) == 0
+    assert kept == []
+    assert correlate._MEMO.key == correlate._MEMO.sums == "untouched"
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +335,6 @@ def _fresh(name, obj, tpl, boundary="pad"):
 def _same(got, want):
     return got.lags.tobytes() == want.lags.tobytes() and \
         got.values.tobytes() == want.values.tobytes()
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Each kernels.sliding_sums call from now on, as (thread, samples' bytes, need)."""
-    calls, kernel = [], kernels.sliding_sums
-
-    def spy(f, g, k0, n_lags, need=kernels.ALL_SUMS):
-        calls.append((threading.get_ident(), f.tobytes(), set(need)))
-        return kernel(f, g, k0, n_lags, need=need)
-
-    monkeypatch.setattr(kernels, "sliding_sums", spy)
-    return calls
 
 
 @pytest.mark.parametrize("boundary", ["pad", "valid"])

@@ -149,6 +149,25 @@ def test_noiseless_level_equals_per_cell_path(multiplier, levels):
         base_seed=5, noise_multiplier=multiplier))
 
 
+@pytest.mark.parametrize("levels", [tuple(range(21)), (20, 3, 0)], ids=["0-20", "20,3,0"])
+def test_noiseless_sweep_scores_its_first_level_alone(kernel_calls, levels):
+    # at multiplier 0 every level scores the clean object, so the sweep makes the
+    # kernel calls of a sweep over its first level alone and copies that block
+    cfg = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincidence"),
+                      object_spec=ObjectSpec(x_s=3.9), levels=levels, realizations=3,
+                      noise_multiplier=0.0)
+    quiet = run_sweep(cfg)
+    every_level, kernel_calls[:] = kernel_calls[:], []
+    first = run_sweep(replace(cfg, levels=levels[:1]))
+    assert len(every_level) == 2 and every_level == kernel_calls
+    block = quiet.records.figures.reshape(len(levels), -1, len(INDEX_NAMES))
+    assert np.isnan(block).any()   # missing figures are copied too
+    for v, level in enumerate(levels):
+        assert block[v].tobytes() == first.records.figures.tobytes(), level
+        for method in cfg.methods:
+            assert quiet.aggregates[(method, level)] == first.aggregates[(method, levels[0])]
+
+
 # a secondary 0.6 from the primary, inside its exclusion zone: some records lack figures
 THREADED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincidence"),
                        object_spec=ObjectSpec(x_s=3.9), levels=(0, 5, 10, 15, 20),
@@ -184,8 +203,8 @@ def _count_helper_levels(monkeypatch, threaded=True):
 
 
 def test_records_do_not_depend_on_worker_count(monkeypatch):
-    # each level writes only its own slice, so any schedule gives the same bits; at one
-    # realization each level's one-row stacks go through its thread's window-sum memo
+    # each level writes only its own slice, so any schedule gives the same bits, with
+    # each level's stacks a single row (one realization) too
     for cfg in (THREADED, replace(THREADED, realizations=1)):
         _pin_workers(monkeypatch, 1, cfg.realizations)
         monkeypatch.setattr(sweep, "_score_level", _SCORE_LEVEL)
