@@ -322,7 +322,7 @@ def test_profiles_keeps_nothing_between_calls(kernel_calls, monkeypatch, tmp_pat
 
 
 # ---------------------------------------------------------------------------
-# The one-row memo: a later call on the same object adds only the sums it lacks
+# method_profile's memo: a later call on the same object adds only the sums it lacks
 
 LONG_SIGNAL_NAMES = ("classic", "jaccard_real", "interiority", "coincidence",
                      "jaccard_addition", "coincidence_addition", "combined_coincidence")
