@@ -79,7 +79,7 @@ def read_records(path) -> Records:
             header = header.rstrip("\n").split(",")
             for col in ("method", "level", "realization") + INDEX_NAMES:
                 if col not in header:
-                    raise AnalysisError(f"records file missing required column {col!r}")
+                    raise AnalysisError(f"records file {path} missing required column {col!r}")
             method_pos = header.index("method")
             limit = csv.field_size_limit()
 
@@ -107,6 +107,8 @@ def read_records(path) -> Records:
                     ndmin=1)
     except AnalysisError:
         raise
+    except OSError as exc:
+        raise AnalysisError(f"cannot read records file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # the text layer decodes whole chunks ahead of the reader, so the row
         # reached may be earlier than the bad byte's

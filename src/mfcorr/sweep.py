@@ -5,9 +5,10 @@ object, so cross-method comparisons are paired.  A noise level is the batch:
 its realizations are stacked and profiled CHUNK_ROWS at a time, with one kernel
 call per chunk for the plain methods and the combined methods' first stage and
 one for their second stage, and each method's stack of profiles is normalized,
-searched for peaks and scored in one block (metrics.stack_figures).  A
-noiseless level scores one row and copies its figures to the rest, and at noise
-multiplier 0 the first level's block to the others.  Cells stay independent:
+searched for peaks and scored in one block (metrics.stack_figures).  Every
+noise-free cell (level 0, every level at noise multiplier 0) scores the clean
+object, so the first noise-free level scores one row and every noise-free cell
+copies it.  Cells stay independent:
 a record equals what method_profile, normalized, detect_peaks and
 compute_indices give for that cell alone, so the whole sweep is a pure
 function of its configuration.  The figures fill one (levels, realizations,
@@ -174,17 +175,10 @@ def _level_threads() -> int:
 
 def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
                  block: np.ndarray) -> None:
-    """Fill block[r, i] with the figures of realization r under cfg.methods[i] at level.
-
-    The realizations go through profiles CHUNK_ROWS at a time.  A noiseless level's
-    rows all equal the clean object (it has no -0.0 that adding 0.0 would flip), and
-    a stack's rows score as one-row stacks do, so it scores realization 0 alone and
-    copies its figures to every row.
-    """
-    noiseless = NoiseSpec(level, multiplier=cfg.noise_multiplier).amplitude == 0
-    rows = 1 if noiseless else cfg.realizations
-    for start in range(0, rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, rows)
+    """Fill block[r, i] with the figures of realization r under cfg.methods[i] at level,
+    for each of the len(block) realizations, CHUNK_ROWS of them per profiles call."""
+    for start in range(0, len(block), CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, len(block))
         noisy = noisy_rows(clean.samples,
                            NoiseSpec(level, cfg.base_seed, start, cfg.noise_multiplier),
                            stop - start)
@@ -193,7 +187,6 @@ def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
             block[start:stop, cfg.methods.index(name)] = stack_figures(
                 lags, max_normalized(values, out=values), cfg.object_spec)
             del values   # let this profile go before the next one is built
-    block[rows:] = block[0]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -204,11 +197,16 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
     figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
 
+    # A noise-free cell's object is the clean one (it has no -0.0 for an added 0.0 to
+    # flip), and a stack's rows score as one-row stacks do: the first noise-free level
+    # scores one row, and every noise-free cell copies it.
+    quiet = [v for v, level in enumerate(cfg.levels)
+             if NoiseSpec(level, multiplier=cfg.noise_multiplier).amplitude == 0]
+    jobs = [(level, figures[v, :1] if v in quiet[:1] else figures[v])
+            for v, level in enumerate(cfg.levels) if v not in quiet[1:]]
     # the calling thread is one of the workers.  Levels are handed out in order and none
     # after an error, so every level below a failed one has run when the error is raised.
-    # at noise multiplier 0 every level scores the clean object: the first one's block serves all
-    scored = cfg.levels[:1] if cfg.noise_multiplier == 0 else cfg.levels
-    order = iter(range(len(scored)))
+    order = iter(range(len(jobs)))
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}
     errstate = np.geterr()   # the helpers handle float errors as the calling thread does
@@ -221,13 +219,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 if v is None:
                     return
                 try:
-                    _score_level(cfg, clean, template, scored[v], figures[v])
+                    _score_level(cfg, clean, template, *jobs[v])
                 except BaseException as exc:
                     errors[v] = exc
 
     threads = _level_threads() if cfg.realizations >= CHUNK_ROWS else 1
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(threads, len(scored)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
     for thread in helpers:
         thread.start()
     try:
@@ -237,7 +234,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    figures[len(scored):] = figures[:1]
+    figures[quiet] = figures[quiet[:1], :1]
     level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))

@@ -167,10 +167,11 @@ def _constant_r_xp_records(path):
     (None, ("correlate", "--methods", "classic", "--object"), 1),   # the file is missing
     (_bad_object, ("correlate", "--methods", "classic", "--object"), 1),
     (_bad_config, ("bench", "--config"), 1),
+    (None, ("pca", "--levels", "1", "--records"), 1),   # the file is missing
     (_bad_records, ("pca", "--levels", "1", "--records"), 1),
     (_constant_r_xp_records, ("pca", "--levels", "1", "--records"), 0),   # a warning
-], ids=["missing-object", "bad-object-row", "bad-config-line", "bad-records-row",
-        "pca-warning"])
+], ids=["missing-object", "bad-object-row", "bad-config-line", "missing-records",
+        "bad-records-row", "pca-warning"])
 def test_a_line_break_in_a_file_name_stays_in_one_stderr_line(tmp_path, capsys, make, argv,
                                                                code):
     # an error or warning line names the file with backslash escapes, as the
@@ -587,6 +588,7 @@ def test_pca_missing_column_schema_error(tmp_path, capsys):
     code, _, err = _run(capsys, "pca", "--records", str(records),
                         "--levels", "1", "--out-dir", str(tmp_path))
     assert code == 1 and "missing required column" in err and "r_xs" in err
+    assert str(records) in err
 
 
 @pytest.mark.parametrize("row", [
@@ -757,9 +759,11 @@ def test_pca_parses_records_file_once(tmp_path, capsys, monkeypatch):
 
 
 def test_pca_missing_records_file(tmp_path, capsys):
-    code, _, err = _run(capsys, "pca", "--records", str(tmp_path / "nope.csv"),
-                        "--levels", "1", "--out-dir", str(tmp_path))
-    assert code == 1 and "error:" in err
+    # a missing file and a directory are named, as correlate --object names its file
+    for path in (tmp_path / "nope.csv", tmp_path):
+        code, _, err = _run(capsys, "pca", "--records", str(path),
+                            "--levels", "1", "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and err.startswith(f"error: cannot read records file {path}: "), err
 
 
 # ---------------------------------------------------------------------------

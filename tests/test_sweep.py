@@ -139,10 +139,11 @@ def test_sweep_figures_match_the_oracle_chain(scene, boundary):
     assert secondary_found.any() and secondary_found.all() == (scene == "apart")
 
 
-@pytest.mark.parametrize("multiplier, levels", [(1.0, (0, 1)), (0.0, (0, 1, 20))])
+@pytest.mark.parametrize("multiplier, levels",
+                         [(1.0, (0, 1)), (0.0, (0, 1, 20)), (1.0, (20, 0, 3))])
 def test_noiseless_level_equals_per_cell_path(multiplier, levels):
-    # a noiseless level scores one row and copies its figures to every realization;
-    # at multiplier 0 every level is noiseless, and level 1 above is not
+    # the first noiseless level scores one row and every noiseless cell copies it;
+    # at multiplier 0 every level is noiseless, at multiplier 1 level 0 alone
     methods = ("classic", "jaccard_addition", "combined_coincidence")
     _assert_equal_per_cell_path(SweepConfig(
         methods=methods, object_spec=ObjectSpec(x_s=3.9), levels=levels, realizations=4,
@@ -244,6 +245,17 @@ def test_records_do_not_depend_on_worker_count(monkeypatch):
                 assert helper_levels
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_noiseless_sweep_starts_no_helper(monkeypatch):
+    # at multiplier 0 one level is scored, so the calling thread scores it alone
+    cfg = replace(THREADED, noise_multiplier=0.0)
+    _pin_workers(monkeypatch, 1, cfg.realizations)
+    serial = run_sweep(cfg)
+    _pin_workers(monkeypatch, 2, 2)
+    helper_levels = _count_helper_levels(monkeypatch, threaded=False)
+    assert_records_equal(run_sweep(cfg).records, serial.records)
+    assert helper_levels == []
 
 
 @pytest.mark.parametrize("realizations", [2, 3, 4, 7])
