@@ -203,17 +203,6 @@ def _count_helper_levels(monkeypatch, threaded=True):
     return helper_levels
 
 
-def _spy_blocks(monkeypatch):
-    """Record (level, len(block)) of each _score_level call, in call order."""
-    calls = []
-
-    def score(cfg, clean, template, level, block):
-        calls.append((level, len(block)))
-        _SCORE_LEVEL(cfg, clean, template, level, block)
-    monkeypatch.setattr(sweep, "_score_level", score)
-    return calls
-
-
 @pytest.mark.parametrize("multiplier, levels, calls", [
     (1.0, (20, 0, 3), [(20, 4), (0, 1), (3, 4)]),
     (0.0, (20, 3, 0), [(20, 1)]),
@@ -221,7 +210,12 @@ def _spy_blocks(monkeypatch):
 def test_first_noise_free_level_is_handed_one_row(monkeypatch, multiplier, levels, calls):
     # every noisy level is handed its whole block, the first noise-free level one
     # row, and no other noise-free level is scheduled
-    spy = _spy_blocks(monkeypatch)
+    spy = []
+
+    def score(cfg, clean, template, level, block):
+        spy.append((level, len(block)))
+        _SCORE_LEVEL(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score)
     run_sweep(SweepConfig(methods=("classic",), levels=levels, realizations=4,
                           noise_multiplier=multiplier))
     assert spy == calls
