@@ -140,14 +140,15 @@ def _add_clipped(cols, steps, sm, um):
     n = cols.shape[0]
     absc = np.abs(cols)   # |f|, for the peaks; then |clipped| where UM is asked
     clipped = np.empty_like(absc)
-    peak = np.fmax.reduce(absc, axis=1, initial=0.0)   # a NaN needs no clip
+    peak = absc[:, 0] if cols.shape[1] == 1 else np.fmax.reduce(absc, axis=1)
     mags = np.abs([gj for _, gj, _, _ in steps])
     floors = np.minimum(mags[1:], mags[:-1])
-    # the first step clips every sample
-    first = [0] + np.searchsorted(np.fmax.accumulate(peak), floors, side="right").tolist()
-    end = [n] + (n - np.searchsorted(np.fmax.accumulate(peak[::-1]), floors,
-                                     side="right")).tolist()
-    for (at, gj, lo, hi), a, b in zip(steps, first, end):
+    # running maxima of the peaks from either end, a NaN as 0.0 (it needs no clip), in
+    # clipped's first n slots before the loop writes them; the first step clips all
+    run = clipped.reshape(-1)[:n]
+    first, last = (np.searchsorted(np.fmax.accumulate(np.fmax(p, 0.0, out=run), out=run),
+                                   floors, side="right") for p in (peak, peak[::-1]))
+    for (at, gj, lo, hi), a, b in zip(steps, [0, *first.tolist()], [n, *(n - last).tolist()]):
         if a < b:
             cols[a:b].clip(-abs(gj), abs(gj), out=clipped[a:b])   # np.clip, minus its dispatch
             if um is not None:

@@ -1,37 +1,30 @@
 """Monte-Carlo noise sweep: run methods over noise levels, aggregate merit figures.
 
-Within one (level, realization) cell every method sees the identical noisy
-object, so cross-method comparisons are paired.  A noise level is the batch:
-its realizations are stacked and profiled CHUNK_ROWS at a time, with one kernel
-call per chunk for the plain methods and the combined methods' first stage and
-one for their second stage, and each method's stack of profiles is normalized,
-searched for peaks and scored in one block (metrics.stack_figures).  Every
-noise-free cell (level 0, every level at noise multiplier 0) scores the clean
-object, so the first noise-free level scores one row and every noise-free cell
-copies it.  Cells stay independent:
-a record equals what method_profile, normalized, detect_peaks and
-compute_indices give for that cell alone, so the whole sweep is a pure
-function of its configuration.  The figures fill one (levels, realizations,
-methods, 6) block; the records are its rows, and a (method, level) cell's
-aggregates are reduced from its slice of the block, not found in the records.
+Within one (level, realization) cell every method sees the identical noisy object, so
+cross-method comparisons are paired.  A level's realizations are stacked and profiled
+CHUNK_ROWS at a time (correlate.profiles), and each method's stack is normalized, searched
+for peaks and scored in one block (metrics.stack_figures), yet a record equals what
+method_profile, normalized, detect_peaks and compute_indices give for its cell alone: the
+sweep is a pure function of its configuration.  The figures fill one (levels, realizations,
+methods, 6) block; the records are its rows, and a (method, level) cell's aggregates are
+reduced from its slice of the block.
 
-The levels run on up to two threads, one per usable CPU (MAX_LEVEL_THREADS),
-but only when a level holds a full chunk: numpy releases the GIL inside its
-array loops alone, and below CHUNK_ROWS rows those loops are too short for a
-second thread to pay, while its level's transients still add to the peak
-memory.  Each level in flight holds one chunk's transients at any realization
-count.  The schedule cannot change a byte: each level reads only the shared
-clean object and template, draws its noise from streams fixed by (seed, level,
-realization), and writes only its own slice of the figures.  The threads take
-the levels in order and start none after one fails, so the caller gets the
-error of the lowest level that failed, as from a serial loop.
+The caller scores the levels beside one forked child where a second CPU is usable
+(_level_workers), each taking every other level in order up to its first failure and
+writing its slices into the block, a shared mapping.  Each level reads only the clean
+object and template and draws its noise from streams fixed by (seed, level, realization),
+so the schedule changes no byte; the caller raises the lowest failing level's error.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
+import signal
 import threading
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -151,26 +144,15 @@ def aggregate_records(levels, methods, figures) -> dict[tuple[str, int], dict[st
             for v, level in enumerate(levels) for i, method in enumerate(methods)}
 
 
-# Each level in flight adds one chunk's transients to the peak RSS, and what a third
-# thread gains beyond 2 CPUs is not measured.
-MAX_LEVEL_THREADS = 2
-
-# Realizations per profiles call, and the fewest in a level that starts level threads:
-# the smallest stack at which two level threads beat one.  run_sweep over levels 1-8
-# with one chunk per level, 2 CPUs against `taskset -c 0` (Python 3.11, numpy 2.4),
-# median of 3 warm sweeps, 8 alternations: at 100 rows 0.28-0.35 s against
-# 0.39-0.46 s in 7, even (0.438 against 0.435 s) in 1, for +4.4 MB max RSS; at 125
-# and 150 rows 1.2-1.6x in all 8; at 50 rows (the desk scale) 0.95-1.15x for +2.2 MB.
+# Realizations per profiles call: a level's transients stay one chunk's at any count.
 CHUNK_ROWS = 100
 
 
-def _level_threads() -> int:
-    """Levels to run at once: the CPUs this process may run on, at most MAX_LEVEL_THREADS."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_LEVEL_THREADS)
+def _level_workers() -> int:
+    """2 (the caller and one forked child) where a fork is safe (Linux, one Python thread)
+    and 2 CPUs are usable, else 1; what a third worker would gain is not measured."""
+    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    return min(len(os.sched_getaffinity(0)), 2) if forkable else 1
 
 
 def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
@@ -189,13 +171,48 @@ def _score_level(cfg: SweepConfig, clean: Signal, template: Signal, level: int,
             del values   # let this profile go before the next one is built
 
 
+def _run_workers(score) -> dict[int, Exception]:
+    """{job index: error} of score(0) here and score(1) in a forked child (numpy's errstate
+    and all), sent down a pipe; the child is reaped always, killed first if score(0) raises."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():   # 3.12+ counts a BLAS pool too; the child calls no BLAS
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            errors = score(1)
+            try:   # an error that does not pickle goes as its type and message
+                pickle.loads(payload := pickle.dumps(errors))
+            except Exception:
+                payload = pickle.dumps({i: RuntimeError(f"{type(e).__name__}: {e}")
+                                        for i, e in errors.items()})
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:   # whatever was raised
+            os._exit(1)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            errors = score(0)
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    return {**errors, **(pickle.loads(payload) if payload else {1: ChildProcessError(
+        f"level worker exited with status {os.waitstatus_to_exitcode(status)}")})}
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute the noise sweep described by cfg, on _level_threads() if a level fills a chunk."""
+    """Execute the noise sweep described by cfg, its levels shared by _level_workers()."""
     clean = gen_object(cfg.object_spec)
     template = gen_template(cfg.template_spec, cfg.object_spec.dx)
-    shape = (len(cfg.levels), cfg.realizations, len(cfg.methods))
-    # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i]
-    figures = np.full(shape + (len(INDEX_NAMES),), math.nan)
+    shape = (len(cfg.levels), cfg.realizations, len(cfg.methods), len(INDEX_NAMES))
+    # figures[v, r, i]: the cell of the v-th level and realization r under cfg.methods[i],
+    # every one written below, in a shared mapping that a forked worker writes too
+    figures = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(math.prod(shape), 1)))
 
     # A noise-free cell's object is the clean one (it has no -0.0 for an added 0.0 to
     # flip), and a stack's rows score as one-row stacks do: the first noise-free level
@@ -204,38 +221,20 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
              if NoiseSpec(level, multiplier=cfg.noise_multiplier).amplitude == 0]
     jobs = [(level, figures[v, :1] if v in quiet[:1] else figures[v])
             for v, level in enumerate(cfg.levels) if v not in quiet[1:]]
-    # the calling thread is one of the workers.  Levels are handed out in order and none
-    # after an error, so every level below a failed one has run when the error is raised.
-    order = iter(range(len(jobs)))
-    lock = threading.Lock()
-    errors: dict[int, BaseException] = {}
-    errstate = np.geterr()   # the helpers handle float errors as the calling thread does
+    workers = max(1, min(_level_workers(), len(jobs)))
 
-    def work() -> None:
-        with np.errstate(**errstate):
-            while True:
-                with lock:
-                    v = None if errors else next(order, None)
-                if v is None:
-                    return
-                try:
-                    _score_level(cfg, clean, template, *jobs[v])
-                except BaseException as exc:
-                    errors[v] = exc
-
-    threads = _level_threads() if cfg.realizations >= CHUNK_ROWS else 1
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
+    def score(w: int) -> dict[int, Exception]:   # jobs[w::workers] up to the first failure
+        for i in range(w, len(jobs), workers):
+            try:
+                _score_level(cfg, clean, template, *jobs[i])
+            except Exception as exc:
+                return {i: exc}
+        return {}
+    errors = _run_workers(score) if workers > 1 else score(0)
     if errors:
         raise errors[min(errors)]
     figures[quiet] = figures[quiet[:1], :1]
-    level_idx, realizations, codes = np.indices(shape, dtype=np.int64).reshape(3, -1)
+    level_idx, realizations, codes = np.indices(shape[:3], dtype=np.int64).reshape(3, -1)
     records = Records(cfg.methods, codes, np.array(cfg.levels, dtype=np.int64)[level_idx],
                       realizations, figures.reshape(-1, len(INDEX_NAMES)))
     return SweepResult(cfg, records, aggregate_records(cfg.levels, cfg.methods, figures))

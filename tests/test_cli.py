@@ -468,8 +468,8 @@ def _run_fresh(warnings, *argv):
 @pytest.mark.parametrize("argv", [
     ["correlate"],
     ["bench", "--levels", "0", "--realizations", "2"],
-    # two levels of a full chunk: with two CPUs a helper thread scores one, under the
-    # caller's float checks
+    # two levels: with two CPUs a forked worker scores one, under the float checks it
+    # inherits from the caller
     ["bench", "--levels", "0,1", "--realizations", str(CHUNK_ROWS)],
 ], ids=["correlate", "bench", "bench-two-levels"])
 def test_window_sums_out_of_float_range_are_one_error_line(tmp_path, argv, warnings):

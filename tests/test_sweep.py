@@ -2,8 +2,8 @@
 
 import math
 import os
-import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -170,37 +170,46 @@ def test_noiseless_sweep_scores_its_first_level_alone(kernel_calls, levels):
 
 
 # a secondary 0.6 from the primary, inside its exclusion zone: some records lack figures
-THREADED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincidence"),
-                       object_spec=ObjectSpec(x_s=3.9), levels=(0, 5, 10, 15, 20),
-                       realizations=4, base_seed=2)
+FORKED = SweepConfig(methods=("classic", "jaccard_addition", "combined_coincidence"),
+                     object_spec=ObjectSpec(x_s=3.9), levels=(0, 5, 10, 15, 20),
+                     realizations=4, base_seed=2)
 
 
-def _pin_workers(monkeypatch, workers, chunk_rows):
-    """Run workers level threads on levels of at least chunk_rows realizations."""
-    monkeypatch.setattr(sweep, "_level_threads", lambda: workers)
-    monkeypatch.setattr(sweep, "CHUNK_ROWS", chunk_rows)
+def _pin_workers(monkeypatch, workers, chunk_rows=None):
+    """Score the levels in workers processes, chunk_rows realizations per profiles call."""
+    monkeypatch.setattr(sweep, "_level_workers", lambda: workers)
+    if chunk_rows is not None:
+        monkeypatch.setattr(sweep, "CHUNK_ROWS", chunk_rows)
 
 
 _SCORE_LEVEL = sweep._score_level
 
 
-def _count_helper_levels(monkeypatch, threaded=True):
-    """Record the levels that helper threads score, in a list filled as they run.
+def _log_levels(monkeypatch, path, score=_SCORE_LEVEL):
+    """Have each process append "pid level" to path for every level it scores with score;
+    returns a function that reads the log as {pid: [level, ...]}."""
+    def logged(cfg, clean, template, level, block):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {level}\n".encode())
+        finally:
+            os.close(fd)
+        score(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", logged)
 
-    If threaded, the calling thread waits (5 s at most) until a helper takes a level.
-    """
-    helper_levels = []
-    helper_started = threading.Event()
+    def read():
+        scored = {}
+        for line in path.read_text().splitlines() if path.exists() else []:
+            pid, level = map(int, line.split())
+            scored.setdefault(pid, []).append(level)
+        path.unlink(missing_ok=True)
+        return scored
+    return read
 
-    def score(cfg, clean, template, level, block):
-        if threading.current_thread() is not threading.main_thread():
-            helper_levels.append(level)
-            helper_started.set()
-        elif threaded:
-            helper_started.wait(5)
-        _SCORE_LEVEL(cfg, clean, template, level, block)
-    monkeypatch.setattr(sweep, "_score_level", score)
-    return helper_levels
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("multiplier, levels, calls", [
@@ -209,7 +218,8 @@ def _count_helper_levels(monkeypatch, threaded=True):
 ], ids=["noise-free-between-noisy", "multiplier-0"])
 def test_first_noise_free_level_is_handed_one_row(monkeypatch, multiplier, levels, calls):
     # every noisy level is handed its whole block, the first noise-free level one
-    # row, and no other noise-free level is scheduled
+    # row, and no other noise-free level is scheduled (one worker: the spy sees all)
+    _pin_workers(monkeypatch, 1)
     spy = []
 
     def score(cfg, clean, template, level, block):
@@ -221,51 +231,46 @@ def test_first_noise_free_level_is_handed_one_row(monkeypatch, multiplier, level
     assert spy == calls
 
 
-def test_records_do_not_depend_on_worker_count(monkeypatch):
-    # each level writes only its own slice, so any schedule gives the same bits, with
-    # each level's stacks a single row (one realization) too
-    for cfg in (THREADED, replace(THREADED, realizations=1)):
-        _pin_workers(monkeypatch, 1, cfg.realizations)
-        monkeypatch.setattr(sweep, "_score_level", _SCORE_LEVEL)
+def test_records_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    # each level writes only its own slice, so either schedule gives the same bits, with
+    # each level's stacks a single row (one realization) too; the forked worker scores
+    # every other level, the caller the rest
+    scored = _log_levels(monkeypatch, tmp_path / "pids")
+    for cfg in (FORKED, replace(FORKED, realizations=1)):
+        _pin_workers(monkeypatch, 1)
         serial = run_sweep(cfg)
         assert np.isnan(serial.records.figures).any()   # missing figures compare too
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)   # hand the GIL over as often as the interpreter can
-        try:
-            for workers in (2, 3, 5):   # 5: a thread per level, more than most hosts' CPUs
-                _pin_workers(monkeypatch, workers, cfg.realizations)
-                helper_levels = _count_helper_levels(monkeypatch)
-                assert_records_equal(run_sweep(cfg).records, serial.records)
-                assert helper_levels
-        finally:
-            sys.setswitchinterval(interval)
+        assert scored() == {os.getpid(): list(cfg.levels)}
+        _pin_workers(monkeypatch, 2)
+        assert_records_equal(run_sweep(cfg).records, serial.records)
+        by_pid = scored()
+        assert by_pid.pop(os.getpid()) == [0, 10, 20] and list(by_pid.values()) == [[5, 15]]
+        _no_child_left()
 
 
-def test_noiseless_sweep_starts_no_helper(monkeypatch):
-    # at multiplier 0 one level is scored, so the calling thread scores it alone
-    cfg = replace(THREADED, noise_multiplier=0.0)
-    _pin_workers(monkeypatch, 1, cfg.realizations)
+def test_noiseless_sweep_starts_no_helper(monkeypatch, tmp_path):
+    # at multiplier 0 one level is scored, so the caller scores it alone and forks nothing
+    cfg = replace(FORKED, noise_multiplier=0.0)
+    _pin_workers(monkeypatch, 1)
     serial = run_sweep(cfg)
-    _pin_workers(monkeypatch, 2, 2)
-    helper_levels = _count_helper_levels(monkeypatch, threaded=False)
+    _pin_workers(monkeypatch, 2)
+    scored = _log_levels(monkeypatch, tmp_path / "pids")
     assert_records_equal(run_sweep(cfg).records, serial.records)
-    assert helper_levels == []
+    assert scored() == {os.getpid(): [0]}
 
 
 @pytest.mark.parametrize("realizations", [2, 3, 4, 7])
-def test_records_do_not_depend_on_chunk_edges(monkeypatch, realizations):
-    # chunks of 3 realizations, the last one partial or full, under any worker count
-    # give the records of one stack per level on one thread; a level of fewer than 3
-    # realizations starts no helper
-    cfg = replace(THREADED, realizations=realizations)
+def test_records_do_not_depend_on_chunk_edges(monkeypatch, tmp_path, realizations):
+    # chunks of 3 realizations, the last one partial or full, in one worker or two
+    # give the records of one stack per level in one worker
+    cfg = replace(FORKED, realizations=realizations)
     _pin_workers(monkeypatch, 1, realizations)
     whole = run_sweep(cfg)
-    for workers in (1, 2, 3):
+    scored = _log_levels(monkeypatch, tmp_path / "pids")
+    for workers in (1, 2):
         _pin_workers(monkeypatch, workers, 3)
-        threaded = workers > 1 and realizations >= 3
-        helper_levels = _count_helper_levels(monkeypatch, threaded)
         assert_records_equal(run_sweep(cfg).records, whole.records)
-        assert bool(helper_levels) == threaded
+        assert len(scored()) == workers   # the caller, and the child if forked
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -278,56 +283,53 @@ def test_sweep_without_levels_is_empty(monkeypatch, tmp_path, workers):
     assert (tmp_path / "agg.csv").read_text().splitlines()[1:] == [",".join(AGGREGATE_COLUMNS)]
 
 
-def _fail_off_main_thread(error):
-    stack_figures = sweep.stack_figures
-    helper_failed = threading.Event()
+def _fail_in_child(error):
+    """stack_figures, but raising error in any process other than this one."""
+    stack_figures, caller = sweep.stack_figures, os.getpid()
 
     def figures_or_error(*args):
-        if threading.current_thread() is not threading.main_thread():
-            helper_failed.set()
+        if os.getpid() != caller:
             raise error
-        helper_failed.wait(5)   # the calling thread must not take every level itself
         return stack_figures(*args)
     return figures_or_error
 
 
 @pytest.mark.parametrize("error", [DomainError("injected"), MemoryError("injected")])
 def test_worker_error_reaches_caller(monkeypatch, error):
-    _pin_workers(monkeypatch, 2, 2)
-    monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
+    _pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(sweep, "stack_figures", _fail_in_child(error))
     with pytest.raises(type(error), match="injected"):
         run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3), realizations=2))
+    _no_child_left()
 
 
-def test_lowest_failing_level_gives_the_error(monkeypatch):
-    # level 3 fails at once, level 1 only after it: the caller still gets level 1's error
-    _pin_workers(monkeypatch, 3, 2)
-    level_3_failed = threading.Event()
-    score_level = sweep._score_level
-    scored_on = set()
-
-    def score_or_fail(cfg, clean, template, level, block):
-        scored_on.add(threading.current_thread())
-        if level == 3:
-            level_3_failed.set()
-            raise MemoryError("level 3")
-        if level == 1:
-            level_3_failed.wait(5)
-            raise DomainError("level 1")
-        score_level(cfg, clean, template, level, block)
-    monkeypatch.setattr(sweep, "_score_level", score_or_fail)
-    with pytest.raises(DomainError, match="level 1"):
-        run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3, 4), realizations=2))
-    assert level_3_failed.is_set()
-    assert scored_on - {threading.main_thread()}   # a helper thread scored a level
+def test_lowest_failing_level_gives_the_error(monkeypatch, tmp_path):
+    # the caller takes levels 0, 2 and 4 and the child 1 and 3, each up to its first
+    # failure; the lower failing level gives the error, in the child (first case) or in
+    # the caller (second case), though the other process fails too
+    _pin_workers(monkeypatch, 2)
+    for failing, want, child_levels in [
+            ({1: DomainError("level 1"), 2: MemoryError("level 2")}, "level 1", [1]),
+            ({2: DomainError("level 2"), 3: MemoryError("level 3")}, "level 2", [1, 3])]:
+        def score_or_fail(cfg, clean, template, level, block, failing=failing):
+            if level in failing:
+                raise failing[level]
+            _SCORE_LEVEL(cfg, clean, template, level, block)
+        scored = _log_levels(monkeypatch, tmp_path / "pids", score_or_fail)
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            run_sweep(SweepConfig(methods=("classic",), levels=(0, 1, 2, 3, 4),
+                                  realizations=2))
+        by_pid = scored()
+        assert by_pid.pop(os.getpid()) == [0, 2] and list(by_pid.values()) == [child_levels]
+        _no_child_left()
 
 
 @pytest.mark.parametrize("error, message", [(DomainError("injected"), "error: injected\n"),
                                             (MemoryError("injected"),
                                              "error: out of memory: injected\n")])
 def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error, message):
-    _pin_workers(monkeypatch, 2, 2)
-    monkeypatch.setattr(sweep, "stack_figures", _fail_off_main_thread(error))
+    _pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(sweep, "stack_figures", _fail_in_child(error))
     code = cli.main(["bench", "--methods", "classic", "--levels", "0-3",
                      "--realizations", "2", "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -336,15 +338,92 @@ def test_worker_error_is_one_cli_error_line(monkeypatch, capsys, tmp_path, error
     assert not (tmp_path / "records.csv").exists()
 
 
-@pytest.mark.parametrize("cpus, workers", [(1, 1), (5, sweep.MAX_LEVEL_THREADS)])
-def test_worker_count_falls_back_to_cpu_count(monkeypatch, cpus, workers):
+def test_worker_count_without_affinity_forks_nothing(monkeypatch, tmp_path):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert sweep._level_threads() == workers
-    monkeypatch.setattr(sweep, "CHUNK_ROWS", THREADED.realizations)
-    result = run_sweep(THREADED)
-    _pin_workers(monkeypatch, 1, THREADED.realizations)
-    assert_records_equal(result.records, run_sweep(THREADED).records)
+    assert sweep._level_workers() == 1
+    scored = _log_levels(monkeypatch, tmp_path / "pids")
+    run_sweep(FORKED)
+    assert scored() == {os.getpid(): list(FORKED.levels)}
+
+
+def test_worker_count_with_a_second_thread_forks_nothing(monkeypatch, tmp_path):
+    # a fork copies only the calling thread, so with another live one the caller works alone
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert sweep._level_workers() == 1
+        scored = _log_levels(monkeypatch, tmp_path / "pids")
+        run_sweep(FORKED)
+        assert scored() == {os.getpid(): list(FORKED.levels)}
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_a_dead_child_is_one_error_naming_its_status(monkeypatch, capsys, tmp_path):
+    caller = os.getpid()
+
+    def score_or_die(cfg, clean, template, level, block):
+        if os.getpid() != caller:
+            os._exit(3)
+        _SCORE_LEVEL(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score_or_die)
+    _pin_workers(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="^level worker exited with status 3$"):
+        run_sweep(FORKED)
+    _no_child_left()
+    code = cli.main(["bench", "--levels", "0-3", "--realizations", "2",
+                     "--out-dir", str(tmp_path)])
+    assert code == 1 and capsys.readouterr().err == (
+        "error: level worker exited with status 3\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fail_in", ["nowhere", "child", "caller", "caller-interrupted"])
+def test_no_child_is_left_running(monkeypatch, fail_in):
+    # after a sweep, a child's error, a caller's error or an interrupt in the caller no
+    # child is left; the interrupted caller kills its child, which would sleep for a minute
+    caller = os.getpid()
+
+    def score(cfg, clean, template, level, block):
+        in_child = os.getpid() != caller
+        if fail_in == ("child" if in_child else "caller"):
+            raise DomainError("injected")
+        if fail_in == "caller-interrupted":
+            if in_child:
+                time.sleep(60)
+            raise KeyboardInterrupt
+        _SCORE_LEVEL(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score)
+    _pin_workers(monkeypatch, 2)
+    start = time.monotonic()
+    if fail_in == "nowhere":
+        run_sweep(FORKED)
+    else:
+        with pytest.raises(KeyboardInterrupt if fail_in == "caller-interrupted"
+                           else DomainError):
+            run_sweep(FORKED)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_child_float_error_reaches_caller(monkeypatch):
+    # finite heights whose window sums overflow: the child raises as the caller's errstate
+    # says, since a fork inherits it, while the caller's own levels score nothing
+    caller = os.getpid()
+
+    def score_in_child(cfg, clean, template, level, block):
+        if os.getpid() != caller:
+            _SCORE_LEVEL(cfg, clean, template, level, block)
+    monkeypatch.setattr(sweep, "_score_level", score_in_child)
+    _pin_workers(monkeypatch, 2)
+    cfg = SweepConfig(methods=("classic",), object_spec=ObjectSpec(h_p=1e308, h_s=1e307),
+                      levels=(1, 2), realizations=2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        run_sweep(cfg)
+    _no_child_left()
 
 
 def test_noise_shared_across_methods():
