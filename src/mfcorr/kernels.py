@@ -116,7 +116,7 @@ def _object_sums(rows, g, k0, n_lags, need):
     steps = [(k0 + j, gj, max(0, -(k0 + j)), min(n_lags, n - k0 - j))
              for j, gj in enumerate(g.tolist())]
     steps = [step for step in steps if step[2] < step[3]]
-    if steps and (SM in acc or UM in acc):
+    if steps and n_rows and (SM in acc or UM in acc):   # an empty stack has nothing to clip
         _add_clipped(cols, steps, acc.get(SM), acc.get(UM))
     if DOT in acc:
         dot, scratch = acc[DOT], np.empty((n_lags, n_rows))

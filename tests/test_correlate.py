@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import oracles as orc
 from mfcorr import (AlignmentError, DomainError, ObjectSpec, Signal, SweepConfig,
                     TemplateSpec, gen_object, gen_template, method_profile, run_sweep)
-from mfcorr import correlate, kernels
+from mfcorr import correlate, kernels, sweep
 from mfcorr.cli import main
 from mfcorr.correlate import profiles
 from mfcorr.indices import SUMS_READ
@@ -315,6 +315,8 @@ def test_profiles_keeps_nothing_between_calls(kernel_calls, monkeypatch, tmp_pat
         runs.append(([need for _, _, need in kernel_calls], values))
     assert len(runs[0][0]) == 2 and runs[0][0] == runs[1][0]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][1], runs[1][1]))
+    # one worker, so that the spies see level 5 too and not a forked child's copy
+    monkeypatch.setattr(sweep, "_level_workers", lambda: 1)
     run_sweep(SweepConfig(levels=(0, 5), realizations=1, methods=ALL_NAMES))
     assert main(["correlate", "--methods", ",".join(ALL_NAMES), "--out-dir", str(tmp_path)]) == 0
     assert kept == []

@@ -113,6 +113,13 @@ def test_only_needed_sums_returned():
             assert sums[s].tobytes() == full[s].tobytes(), s
 
 
+def test_empty_stack_gives_empty_sums():
+    # no rows: every object sum has no row and the template sums keep their one row
+    sums = sliding_sums(np.empty((0, 20)), np.linspace(-1.0, 2.0, 5), -2, 20)
+    assert {s: v.shape for s, v in sums.items()} == {
+        SM: (0, 20), UM: (0, 20), DOT: (0, 20), AGW: (20,), SGW: (20,), AF: (0,), SF: (0,)}
+
+
 def test_totals_computed_only_when_needed(monkeypatch):
     # the totals are the kernel's only np.sum calls, one (R, n) reduction each
     rng = np.random.default_rng(6)
